@@ -59,6 +59,14 @@ type fromEntry struct {
 	on           sqlparse.Node
 }
 
+// joinStep places one FROM entry after the first: a hash join on the key
+// columns (a cross join when there are none).
+type joinStep struct {
+	entry                fromEntry
+	probeCols, buildCols []string
+	reads                *colSet // columns the key conjuncts read
+}
+
 func (c *compiler) compileSelect(sel *sqlparse.Select) (plan.Node, error) {
 	node, err := c.buildFromWhere(sel)
 	if err != nil {
@@ -216,64 +224,56 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 		return n, convErr
 	}
 
-	cur, err := scan(entries[0], true)
-	if err != nil {
-		return plan.Node{}, err
+	// Place the joins first: each later FROM entry consumes the key
+	// conjuncts connecting it to the tables already placed.
+	from := map[string]*schema.Schema{}
+	for _, e := range entries {
+		st, err := c.cat.Store(e.table)
+		if err != nil {
+			return plan.Node{}, err
+		}
+		from[strings.ToLower(e.table)] = st.Schema()
 	}
 	placed := map[string]bool{strings.ToLower(entries[0].table): true}
 	usedJoin := make([]bool, len(joins))
-
+	steps := make([]joinStep, 0, len(entries)-1)
 	for _, e := range entries[1:] {
 		tl := strings.ToLower(e.table)
 		if placed[tl] {
 			return plan.Node{}, fmt.Errorf("compile: table %s appears twice (self-joins are not supported)", e.table)
 		}
-		var probeCols, buildCols []string
+		step := joinStep{entry: e}
+		var keys []sqlparse.Node
 		if e.joinKind == "left" {
-			pc, bc, err := c.equiKeys(splitAnd(e.on), placed, tl)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			probeCols, buildCols = pc, bc
-			if len(probeCols) == 0 {
+			keys = splitAnd(e.on)
+			step.probeCols, step.buildCols = c.equiKeys(keys, placed, tl)
+			if len(step.probeCols) == 0 {
 				return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s requires an equi-join ON condition", e.table)
 			}
-			// Outer joins must not push WHERE predicates below the join.
-			build, err := scan(e, false)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.LeftOuterJoin)
-			placed[tl] = true
-			continue
-		}
-		for i, j := range joins {
-			if usedJoin[i] {
-				continue
-			}
-			pc, bc, err := c.equiKeys([]sqlparse.Node{j}, placed, tl)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			if len(pc) > 0 {
-				probeCols = append(probeCols, pc...)
-				buildCols = append(buildCols, bc...)
-				usedJoin[i] = true
-			}
-		}
-		build, err := scan(e, true)
-		if err != nil {
-			return plan.Node{}, err
-		}
-		if len(probeCols) == 0 {
-			// No connecting predicate: cross join via nested loops.
-			cur = c.b.Cross(cur, build)
+			// Outer joins must not push WHERE predicates below the join:
+			// they filter the joined rows (NULL padding included) above it.
+			residual = append(residual, perTable[tl]...)
 		} else {
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.InnerJoin)
+			for i, j := range joins {
+				if usedJoin[i] {
+					continue
+				}
+				pc, bc := c.equiKeys([]sqlparse.Node{j}, placed, tl)
+				if len(pc) > 0 {
+					step.probeCols = append(step.probeCols, pc...)
+					step.buildCols = append(step.buildCols, bc...)
+					keys = append(keys, j)
+					usedJoin[i] = true
+				}
+			}
+		}
+		step.reads = newColSet()
+		for _, k := range keys {
+			c.addNode(step.reads, from, k)
 		}
 		placed[tl] = true
+		steps = append(steps, step)
 	}
-
 	// Unused join conjuncts (e.g. cycles in the join graph) and residual
 	// predicates become explicit filters.
 	for i, j := range joins {
@@ -281,6 +281,31 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 			residual = append(residual, j)
 		}
 	}
+
+	above := c.readsAbove(sel, from, residual, subs)
+	cur, err := scan(entries[0], true)
+	if err != nil {
+		return plan.Node{}, err
+	}
+	for k, st := range steps {
+		left := st.entry.joinKind == "left"
+		build, err := scan(st.entry, !left)
+		if err != nil {
+			return plan.Node{}, err
+		}
+		switch {
+		case left:
+			cur = cur.HashJoinMulti(build, st.probeCols, st.buildCols, exec.LeftOuterJoin)
+		case len(st.probeCols) == 0:
+			// No connecting predicate: cross join via nested loops.
+			cur = c.b.Cross(cur, build)
+			continue
+		default:
+			cur = cur.HashJoinMulti(build, st.probeCols, st.buildCols, exec.InnerJoin)
+		}
+		cur = cur.PruneJoin(keepFor(above, steps, k))
+	}
+
 	if len(residual) > 0 {
 		preds := residual
 		var convErr error
@@ -361,50 +386,11 @@ func (c *compiler) flattenFrom(sel *sqlparse.Select) ([]fromEntry, error) {
 // two-table equality usable as a join predicate.
 func (c *compiler) classify(n sqlparse.Node, entries []fromEntry) (map[string]bool, bool) {
 	tables := map[string]bool{}
-	var walk func(sqlparse.Node)
-	walk = func(n sqlparse.Node) {
-		switch t := n.(type) {
-		case *sqlparse.ColNode:
-			if tbl := c.resolveTable(t); tbl != "" {
-				tables[strings.ToLower(tbl)] = true
-			}
-		case *sqlparse.BinNode:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparse.NotNode:
-			walk(t.E)
-		case *sqlparse.LikeNode:
-			walk(t.E)
-		case *sqlparse.InNode:
-			walk(t.E)
-			for _, e := range t.List {
-				walk(e)
-			}
-		case *sqlparse.BetweenNode:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparse.IsNullNode:
-			walk(t.E)
-		case *sqlparse.CaseNode:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *sqlparse.AggNode:
-			if t.Arg != nil {
-				walk(t.Arg)
-			}
-		case *sqlparse.FuncNode:
-			for _, a := range t.Args {
-				walk(a)
-			}
+	walkCols(n, false, func(col *sqlparse.ColNode) {
+		if tbl := c.resolveTable(col); tbl != "" {
+			tables[strings.ToLower(tbl)] = true
 		}
-	}
-	walk(n)
+	})
 	if b, ok := n.(*sqlparse.BinNode); ok && b.Op == "=" && len(tables) == 2 {
 		_, lIsCol := b.L.(*sqlparse.ColNode)
 		_, rIsCol := b.R.(*sqlparse.ColNode)
@@ -443,7 +429,7 @@ func (c *compiler) resolveTable(col *sqlparse.ColNode) string {
 
 // equiKeys extracts probe/build key column names from conjuncts that
 // equate a placed table's column with newTable's column.
-func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, newTable string) (probe, build []string, err error) {
+func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, newTable string) (probe, build []string) {
 	for _, cj := range conjuncts {
 		b, ok := cj.(*sqlparse.BinNode)
 		if !ok || b.Op != "=" {
@@ -465,5 +451,5 @@ func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, n
 			build = append(build, l.Name)
 		}
 	}
-	return probe, build, nil
+	return probe, build
 }

@@ -589,6 +589,153 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 	coretest.CheckParallelInvariants(t, aggLabel, parAgg(), 1)
 }
 
+// fuzzPrunedJoins cross-checks the query shapes column pruning must get
+// right against the naive evaluator, under both engines: HAVING and ORDER BY
+// on columns the select list drops, a WHERE on a LEFT JOIN's build side,
+// subqueries reading an outer column nothing else reads, SELECT *, a
+// three-way join whose key only the later join reads, and a COUNT(*)-only
+// join whose joined rows carry no columns at all. A third table t3(f, g)
+// joins the fuzz database for the three-way and subquery shapes.
+func fuzzPrunedJoins(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	db := newFuzzDB(r)
+	rel3 := schema.NewRelation("t3", schema.New(
+		schema.Column{Name: "f", Type: sqlval.KindInt},
+		schema.Column{Name: "g", Type: sqlval.KindInt},
+	))
+	var t3 [][2]int64
+	for i, n := 0, 10+r.Intn(40); i < n; i++ {
+		row := [2]int64{r.Int63n(60), r.Int63n(10)}
+		t3 = append(t3, row)
+		rel3.Append(schema.Row{sqlval.Int(row[0]), sqlval.Int(row[1])})
+	}
+	db.cat.AddRelation(rel3)
+	k := r.Int63n(50)
+
+	// join calls fn for every t1 ⋈ t2 pair on a = d.
+	join := func(fn func(r1 [3]int64, r2 [2]int64)) {
+		for _, r1 := range db.t1 {
+			for _, r2 := range db.t2 {
+				if r1[0] == r2[0] {
+					fn(r1, r2)
+				}
+			}
+		}
+	}
+	inT3 := func(v int64, ok func(g int64) bool) bool {
+		for _, r3 := range t3 {
+			if r3[0] == v && ok(r3[1]) {
+				return true
+			}
+		}
+		return false
+	}
+	anyG := func(int64) bool { return true }
+	cases := map[string]func() [][]int64{
+		fmt.Sprintf("SELECT b, COUNT(*) FROM t1, t2 WHERE a = d GROUP BY b HAVING MAX(e) > %d ORDER BY SUM(c)", k): func() [][]int64 {
+			cnt, maxE := map[int64]int64{}, map[int64]int64{}
+			join(func(r1 [3]int64, r2 [2]int64) {
+				if cnt[r1[1]]++; cnt[r1[1]] == 1 || r2[1] > maxE[r1[1]] {
+					maxE[r1[1]] = r2[1]
+				}
+			})
+			var out [][]int64
+			for b, n := range cnt {
+				if maxE[b] > k {
+					out = append(out, []int64{b, n})
+				}
+			}
+			return out
+		},
+		"SELECT b, d FROM t1, t2 WHERE a = d ORDER BY e, c": func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) { out = append(out, []int64{r1[1], r2[0]}) })
+			return out
+		},
+		fmt.Sprintf("SELECT a, c FROM t1 LEFT JOIN t2 ON a = d WHERE e > %d", k): func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) {
+				if r2[1] > k {
+					out = append(out, []int64{r1[0], r1[2]})
+				}
+			})
+			return out
+		},
+		"SELECT a, c FROM t1 LEFT JOIN t2 ON a = d WHERE e IS NULL": func() [][]int64 {
+			matched := map[int64]bool{}
+			for _, r2 := range db.t2 {
+				matched[r2[0]] = true
+			}
+			var out [][]int64
+			for _, r1 := range db.t1 {
+				if !matched[r1[0]] {
+					out = append(out, []int64{r1[0], r1[2]})
+				}
+			}
+			return out
+		},
+		"SELECT b, e FROM t1, t2 WHERE a = d AND EXISTS (SELECT 1 FROM t3 WHERE t3.f = t1.c)": func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) {
+				if inT3(r1[2], anyG) {
+					out = append(out, []int64{r1[1], r2[1]})
+				}
+			})
+			return out
+		},
+		fmt.Sprintf("SELECT b, e FROM t1, t2 WHERE a = d AND c IN (SELECT f FROM t3 WHERE g < %d)", k%10): func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) {
+				if inT3(r1[2], func(g int64) bool { return g < k%10 }) {
+					out = append(out, []int64{r1[1], r2[1]})
+				}
+			})
+			return out
+		},
+		"SELECT * FROM t1, t2 WHERE a = d": func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) {
+				out = append(out, []int64{r1[0], r1[1], r1[2], r2[0], r2[1]})
+			})
+			return out
+		},
+		"SELECT b, g FROM t1, t2, t3 WHERE a = d AND e = f": func() [][]int64 {
+			var out [][]int64
+			join(func(r1 [3]int64, r2 [2]int64) {
+				for _, r3 := range t3 {
+					if r2[1] == r3[0] {
+						out = append(out, []int64{r1[1], r3[1]})
+					}
+				}
+			})
+			return out
+		},
+		"SELECT COUNT(*) FROM t1, t2 WHERE a = d": func() [][]int64 {
+			var n int64
+			join(func([3]int64, [2]int64) { n++ })
+			return [][]int64{{n}}
+		},
+	}
+	sqls := make([]string, 0, len(cases))
+	for sql := range cases {
+		sqls = append(sqls, sql)
+	}
+	sort.Strings(sqls)
+	for _, sql := range sqls {
+		want := cases[sql]()
+		compare(t, sql, runFuzzSQL(t, db, sql), want)
+		op, err := CompileSQL(db.cat, sql)
+		if err != nil {
+			t.Fatalf("compile %q: %v", sql, err)
+		}
+		rows, err := exec.RunBatch(exec.NewCtx(), op)
+		if err != nil {
+			t.Fatalf("run batch %q: %v", sql, err)
+		}
+		compare(t, sql+" (batch)", resultToInts(t, rows), want)
+	}
+}
+
 // fuzzFamilies dispatches a fuzz input's kind byte to one query family.
 var fuzzFamilies = []func(*testing.T, int64){
 	fuzzFilterProjection,
@@ -602,9 +749,10 @@ var fuzzFamilies = []func(*testing.T, int64){
 	fuzzPagedVsMem,
 	fuzzOrderInvariance,
 	fuzzParallelJoinAgg,
+	fuzzPrunedJoins,
 }
 
-// FuzzDifferential is the native-fuzzing entry point over all eleven
+// FuzzDifferential is the native-fuzzing entry point over all twelve
 // differential families: the fuzzer explores (seed, family) pairs, every
 // one of which must produce results identical to the naive evaluator (and
 // clean progress invariants for the invariant families). The checked-in
@@ -681,5 +829,11 @@ func TestFuzzOrderInvariance(t *testing.T) {
 func TestFuzzParallelJoinAgg(t *testing.T) {
 	for seed := int64(1000); seed < 1012; seed++ {
 		fuzzParallelJoinAgg(t, seed)
+	}
+}
+
+func TestFuzzPrunedJoins(t *testing.T) {
+	for seed := int64(1100); seed < 1112; seed++ {
+		fuzzPrunedJoins(t, seed)
 	}
 }

@@ -108,8 +108,15 @@ func (m *AsyncMonitor) Stop() {
 	}
 }
 
-// observe records one sample and streams it to OnSample.
+// observe records one sample and streams it to OnSample. A sample is
+// anchored to the Curr its ledger capture reads, which can run ahead of the
+// global counter that triggers it (operators credit their slots before the
+// counter), so a trigger at or before the last sample's instant would repeat
+// that instant and is dropped: the series stays strictly increasing.
 func (m *AsyncMonitor) observe(calls int64) {
+	if n := len(m.Samples); n > 0 && calls <= m.Samples[n-1].Calls {
+		return
+	}
 	m.capture(m.tracker, calls)
 	if m.OnSample != nil {
 		m.OnSample(m.Samples[len(m.Samples)-1])

@@ -34,6 +34,7 @@ type HashAgg struct {
 	groupNames []string
 
 	groups map[uint64][]*aggGroup
+	keyBuf []sqlval.Value // reused group-key scratch for foldInto
 	out    []*aggGroup
 	pos    int
 	arena  rowArena // chunked backing storage for emitted group rows
@@ -68,6 +69,7 @@ func NewHashAgg(child Operator, groupBy []expr.Expr, groupNames []string, groupT
 func (a *HashAgg) Open(ctx *Ctx) error {
 	a.reopen()
 	a.groups = make(map[uint64][]*aggGroup)
+	a.keyBuf = make([]sqlval.Value, len(a.GroupBy))
 	a.out = nil
 	a.pos = 0
 	if err := a.child.Open(ctx); err != nil {
@@ -111,14 +113,16 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 }
 
 func (a *HashAgg) fold(row schema.Row) {
-	foldInto(a.groups, a.GroupBy, a.Aggs, row)
+	foldInto(a.groups, a.GroupBy, a.Aggs, row, a.keyBuf)
 }
 
 // foldInto folds one row into a group table — HashAgg's accumulation step,
 // shared with ParallelHashAgg's per-worker pre-aggregation (each worker owns
-// a private table, so the function needs no synchronization).
-func foldInto(groups map[uint64][]*aggGroup, groupBy []expr.Expr, aggs []expr.Agg, row schema.Row) {
-	key := make([]sqlval.Value, len(groupBy))
+// a private table, so the function needs no synchronization). key is the
+// caller's scratch of len(groupBy): the row's group key is evaluated,
+// hashed and compared there, and copied out only when it starts a new
+// group, so folding allocates per group, not per row.
+func foldInto(groups map[uint64][]*aggGroup, groupBy []expr.Expr, aggs []expr.Agg, row schema.Row, key []sqlval.Value) {
 	var h uint64 = 1469598103934665603
 	for i, g := range groupBy {
 		key[i] = g.Eval(row)
@@ -132,7 +136,9 @@ func foldInto(groups map[uint64][]*aggGroup, groupBy []expr.Expr, aggs []expr.Ag
 		}
 	}
 	if grp == nil {
-		grp = &aggGroup{key: key, states: make([]*expr.AggState, len(aggs))}
+		owned := make([]sqlval.Value, len(key))
+		copy(owned, key)
+		grp = &aggGroup{key: owned, states: make([]*expr.AggState, len(aggs))}
 		for i, ag := range aggs {
 			grp.states[i] = expr.NewAggState(ag)
 		}
@@ -188,7 +194,7 @@ func (a *HashAgg) NextBatch(ctx *Ctx, b *Batch) error {
 
 // Close implements Operator.
 func (a *HashAgg) Close() error {
-	a.groups, a.out = nil, nil
+	a.groups, a.keyBuf, a.out = nil, nil, nil
 	return a.child.Close()
 }
 

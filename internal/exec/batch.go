@@ -229,12 +229,33 @@ func (a *rowArena) row(w int) schema.Row {
 	return schema.Row(r)
 }
 
-// concat returns l ++ r carved from the arena.
-func (a *rowArena) concat(l, r schema.Row) schema.Row {
-	out := a.row(len(l) + len(r))
-	copy(out, l)
-	copy(out[len(l):], r)
+// join returns a join output row carved from the arena: the lcols columns
+// of l followed by the rcols columns of r, where a nil column list takes
+// the whole side. Every join operator builds its output rows here, on the
+// row path and the batch path alike.
+func (a *rowArena) join(l, r schema.Row, lcols, rcols []int) schema.Row {
+	lw, rw := len(l), len(r)
+	if lcols != nil {
+		lw = len(lcols)
+	}
+	if rcols != nil {
+		rw = len(rcols)
+	}
+	out := a.row(lw + rw)
+	pick(out[:lw], l, lcols)
+	pick(out[lw:], r, rcols)
 	return out
+}
+
+// pick copies the cols columns of src into dst (all of src when cols is nil).
+func pick(dst, src schema.Row, cols []int) {
+	if cols == nil {
+		copy(dst, src)
+		return
+	}
+	for i, c := range cols {
+		dst[i] = src[c]
+	}
 }
 
 // RunBatch drains an operator tree to completion batch-at-a-time, returning

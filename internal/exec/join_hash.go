@@ -31,7 +31,9 @@ func (m JoinMode) String() string {
 // once, so total work is tightly bounded.
 //
 // Output: probe columns followed by build columns (probe-only for semi/anti).
-// For LeftOuterJoin the probe side is preserved.
+// For LeftOuterJoin the probe side is preserved. Prune narrows an inner or
+// left outer join's output to the columns its consumers read; the inputs,
+// the keys and every GetNext count stay as they are.
 type HashJoin struct {
 	base
 	build, probe         Operator
@@ -40,6 +42,10 @@ type HashJoin struct {
 	// Linear is set by the builder when the join is known to produce at
 	// most max(|build|, |probe|) rows (e.g. key–foreign-key joins).
 	Linear bool
+
+	// probeOut and buildOut are the input column positions the output
+	// carries, per side; nil carries the whole side (see Prune).
+	probeOut, buildOut []int
 
 	table      map[uint64][]schema.Row
 	buildRows  []schema.Row // build side, drained during Open
@@ -52,7 +58,7 @@ type HashJoin struct {
 
 	in      Batch    // reused probe-batch scratch (vectorized path)
 	drained bool     // probe EOF seen while output was in hand
-	arena   rowArena // chunked backing storage for concatenated outputs
+	arena   rowArena // chunked backing storage for output rows
 
 	pessimistic
 }
@@ -77,6 +83,34 @@ func NewHashJoin(build, probe Operator, buildKeys, probeKeys []expr.Expr, mode J
 	}
 	j.init(sch)
 	return j
+}
+
+// Prune narrows the output of an inner or left outer join to the probe
+// columns at positions probeCols followed by the build columns at
+// buildCols; a nil list keeps that side whole. Keys are evaluated on the
+// unpruned input rows, so they need not be kept. Call it before the plan
+// runs. Semi and anti joins emit their probe rows unchanged and cannot be
+// pruned.
+func (j *HashJoin) Prune(probeCols, buildCols []int) {
+	if j.Mode == SemiJoin || j.Mode == AntiJoin {
+		panic("hashjoin: semi and anti joins emit their probe rows unchanged")
+	}
+	j.probeOut, j.buildOut = probeCols, buildCols
+	cols := pickColumns(nil, j.probe.Schema(), probeCols)
+	cols = pickColumns(cols, j.build.Schema(), buildCols)
+	j.sch = schema.New(cols...)
+}
+
+// pickColumns appends the columns of sch at positions idx (all of them when
+// idx is nil) to dst.
+func pickColumns(dst []schema.Column, sch *schema.Schema, idx []int) []schema.Column {
+	if idx == nil {
+		return append(dst, sch.Columns...)
+	}
+	for _, i := range idx {
+		dst = append(dst, sch.Columns[i])
+	}
+	return dst
 }
 
 func hashKeys(keys []expr.Expr, row schema.Row) (uint64, bool) {
@@ -175,10 +209,10 @@ func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			b := j.matches[j.matchIdx]
 			j.matchIdx++
 			j.emittedCur = true
-			return j.emit(ctx, schema.ConcatRows(j.curProbe, b))
+			return j.emit(ctx, j.arena.join(j.curProbe, b, j.probeOut, j.buildOut))
 		}
 		if j.Mode == LeftOuterJoin && j.curProbe != nil && !j.emittedCur {
-			row := schema.ConcatRows(j.curProbe, j.pad)
+			row := j.arena.join(j.curProbe, j.pad, j.probeOut, j.buildOut)
 			j.curProbe = nil
 			return j.emit(ctx, row)
 		}
@@ -235,7 +269,7 @@ func (j *HashJoin) lookup(probe schema.Row) []schema.Row {
 }
 
 // NextBatch implements BatchOperator: processes whole probe chunks against
-// the prebuilt table, concatenated outputs carved from the arena. Output
+// the prebuilt table, output rows carved from the arena. Output
 // batches are variable-length (a high-fanout chunk may exceed the nominal
 // size) so the subtree is quiescent at every return.
 func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
@@ -277,17 +311,17 @@ func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 				}
 			case LeftOuterJoin:
 				if len(found) == 0 {
-					b.Append(j.arena.concat(probe, j.pad))
+					b.Append(j.arena.join(probe, j.pad, j.probeOut, j.buildOut))
 					emitted++
 				} else {
 					for _, m := range found {
-						b.Append(j.arena.concat(probe, m))
+						b.Append(j.arena.join(probe, m, j.probeOut, j.buildOut))
 						emitted++
 					}
 				}
 			default:
 				for _, m := range found {
-					b.Append(j.arena.concat(probe, m))
+					b.Append(j.arena.join(probe, m, j.probeOut, j.buildOut))
 					emitted++
 				}
 			}

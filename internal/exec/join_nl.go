@@ -172,7 +172,7 @@ func (j *INLJoin) probeBatch(b *Batch) int {
 					found = j.Idx.Lookup(v)
 				}
 				for _, idx := range found {
-					b.Append(j.arena.concat(outer, rows[idx]))
+					b.Append(j.arena.join(outer, rows[idx], nil, nil))
 				}
 				emitted += len(found)
 			}
@@ -195,17 +195,17 @@ func (j *INLJoin) probeBatch(b *Batch) int {
 			}
 		case LeftOuterJoin:
 			if len(found) == 0 {
-				b.Append(j.arena.concat(outer, j.pad))
+				b.Append(j.arena.join(outer, j.pad, nil, nil))
 				emitted++
 			} else {
 				for _, idx := range found {
-					b.Append(j.arena.concat(outer, rows[idx]))
+					b.Append(j.arena.join(outer, rows[idx], nil, nil))
 					emitted++
 				}
 			}
 		default:
 			for _, idx := range found {
-				b.Append(j.arena.concat(outer, rows[idx]))
+				b.Append(j.arena.join(outer, rows[idx], nil, nil))
 				emitted++
 			}
 		}

@@ -234,17 +234,17 @@ func (j *ParallelHashJoin) probeBatch(in *Batch, out *Batch, arena *rowArena, ma
 			}
 		case LeftOuterJoin:
 			if len(found) == 0 {
-				out.Append(arena.concat(probe, j.pad))
+				out.Append(arena.join(probe, j.pad, nil, nil))
 				emitted++
 			} else {
 				for _, m := range found {
-					out.Append(arena.concat(probe, m))
+					out.Append(arena.join(probe, m, nil, nil))
 					emitted++
 				}
 			}
 		default:
 			for _, m := range found {
-				out.Append(arena.concat(probe, m))
+				out.Append(arena.join(probe, m, nil, nil))
 				emitted++
 			}
 		}

@@ -359,6 +359,31 @@ func (n Node) HashJoinMulti(build Node, probeCols, buildCols []string, mode exec
 	return n.finish(op, joinEstimate(mode, n.est, build.est, op.Linear))
 }
 
+// PruneJoin narrows n, an inner or left outer hash join, to the input
+// columns keep selects (see exec.HashJoin.Prune). A side keep takes whole
+// stays unprojected.
+func (n Node) PruneJoin(keep func(schema.Column) bool) Node {
+	j := n.Op.(*exec.HashJoin)
+	ch := j.Children() // build, probe
+	j.Prune(keptColumns(ch[1].Schema(), keep), keptColumns(ch[0].Schema(), keep))
+	return n
+}
+
+// keptColumns lists the positions of sch's columns keep selects, or nil
+// when it selects them all.
+func keptColumns(sch *schema.Schema, keep func(schema.Column) bool) []int {
+	idx := []int{}
+	for i, col := range sch.Columns {
+		if keep(col) {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == sch.Len() {
+		return nil
+	}
+	return idx
+}
+
 // INLJoin joins n (outer) against an index on innerTable.innerCol, seeking
 // with outerCol's value — the paper's nested-iteration access path.
 func (n Node) INLJoin(innerTable, innerCol, outerCol string, mode exec.JoinMode) Node {

@@ -331,10 +331,11 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 		for _, c := range s.root.Schema().Columns {
 			s.cols = append(s.cols, c.Name)
 		}
-		if len(rows) > s.keepRows {
-			rows = rows[:s.keepRows]
-		}
-		s.rows = rows
+		// Keep a copy of the first keepRows rows: a sub-slice would pin the
+		// whole result array, which RunBatch sizes from the root's call
+		// bound, for as long as the session is remembered.
+		s.rows = make([]schema.Row, min(len(rows), s.keepRows))
+		copy(s.rows, rows)
 		m.c.completed.Add(1)
 	case errors.Is(runErr, exec.ErrCanceled):
 		s.state = StateCanceled

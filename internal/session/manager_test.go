@@ -352,3 +352,27 @@ func TestNodeProgressParallelPlan(t *testing.T) {
 		t.Fatalf("scan delivered %d, want %d", nodes[1].Delivered, card)
 	}
 }
+
+// TestFinishedSessionRetainsOnlyKeptRows checks a finished session holds a
+// copy of its first KeepRows rows, not a view pinning the whole result.
+func TestFinishedSessionRetainsOnlyKeptRows(t *testing.T) {
+	const keep = 5
+	m := New(testCatalog(t), Config{KeepRows: keep})
+	defer m.Close()
+	s, err := m.Submit("SELECT l_orderkey FROM lineitem", SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s); st != StateFinished {
+		t.Fatalf("state = %s, err = %v", st, s.Err())
+	}
+	s.mu.Lock()
+	n, c, total := len(s.rows), cap(s.rows), s.rowCount
+	s.mu.Unlock()
+	if total <= keep {
+		t.Fatalf("result has %d rows; the test needs more than %d", total, keep)
+	}
+	if n != keep || c > keep {
+		t.Fatalf("retained len %d cap %d, want len %d and cap at most %d", n, c, keep, keep)
+	}
+}
