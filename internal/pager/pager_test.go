@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -275,6 +276,108 @@ func TestPoolExhausted(t *testing.T) {
 	}
 	pool.Release(fr2)
 	pool.Release(fr0)
+}
+
+// gatedBackend holds every read until open is closed, reporting each page
+// as its read starts — so a test can keep frames pinned mid-load for as
+// long as it needs.
+type gatedBackend struct {
+	Backend
+	open    chan struct{}
+	entered chan uint32
+}
+
+func (b *gatedBackend) ReadPage(page uint32, buf []byte) error {
+	b.entered <- page
+	<-b.open
+	return b.Backend.ReadPage(page, buf)
+}
+
+// TestPoolWaitsForUnpin pins every frame of a 2-frame pool with two reads
+// held mid-load, and checks that a third scan cursor waits for a frame
+// instead of failing, while a plain Get still reports exhaustion. The
+// interleaving is forced by the gate, not left to the scheduler, so the
+// outcome does not depend on the machine's CPU count.
+func TestPoolWaitsForUnpin(t *testing.T) {
+	rel := testRel(t, "g", 5000)
+	hf := openTestFile(t, writeTestFile(t, rel))
+	if hf.DataPages() < 4 {
+		t.Skip("file too small")
+	}
+	pool := NewPool(2)
+	gb := &gatedBackend{Backend: hf.Backend(), open: make(chan struct{}),
+		entered: make(chan uint32, hf.DataPages())}
+	pr := NewPagedRelationBackend(hf, pool, gb)
+
+	const parts = 3
+	got := make([][]schema.Row, parts)
+	errs := make([]error, parts)
+	var wg sync.WaitGroup
+	for part := 0; part < parts; part++ {
+		lo, hi := pr.AlignWindow(part, parts)
+		wg.Add(1)
+		go func(part, lo, hi int) {
+			defer wg.Done()
+			cur, err := pr.OpenCursor(lo, hi)
+			if err != nil {
+				errs[part] = err
+				return
+			}
+			defer cur.Close()
+			for {
+				row, _, ok, err := cur.Next()
+				if err != nil {
+					errs[part] = err
+					return
+				}
+				if !ok {
+					return
+				}
+				got[part] = append(got[part], row)
+			}
+		}(part, lo, hi)
+	}
+
+	// Two reads in flight pin both frames; the third cursor must park.
+	loading := map[uint32]bool{<-gb.entered: true, <-gb.entered: true}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		pool.mu.Lock()
+		w := pool.waiters
+		pool.mu.Unlock()
+		if w == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gb.open)
+			t.Fatalf("third cursor never waited for a frame (waiters=%d)", w)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	idle := hf.dataStart
+	for loading[idle] {
+		idle++
+	}
+	if _, _, err := pool.Get(pr.file, idle); !errors.Is(err, ErrPoolExhausted) {
+		close(gb.open)
+		t.Fatalf("plain Get with every frame pinned: want ErrPoolExhausted, got %v", err)
+	}
+
+	close(gb.open)
+	wg.Wait()
+	var all []schema.Row
+	for part := 0; part < parts; part++ {
+		if errs[part] != nil {
+			t.Fatalf("part %d: %v", part, errs[part])
+		}
+		all = append(all, got[part]...)
+	}
+	if !reflect.DeepEqual(all, rel.Rows) {
+		t.Fatalf("gated scan returned %d rows, want the %d stored rows in order", len(all), len(rel.Rows))
+	}
+	if pool.waiters != 0 {
+		t.Fatalf("%d waiters left after the scan", pool.waiters)
+	}
 }
 
 // flakyBackend fails reads of one page a fixed number of times.

@@ -13,9 +13,9 @@ import (
 const DefaultPoolFrames = 64
 
 // ErrPoolExhausted is returned by Get when every frame is pinned — the
-// working set of concurrently pinned pages exceeds the pool. Scans pin one
-// page per cursor, so this indicates a pool sized below the query's
-// parallelism, not a transient condition.
+// working set of concurrently pinned pages exceeds the pool. Callers that
+// pin only for the moment (scan cursors) use GetWait instead, which waits
+// for an unpin rather than failing.
 var ErrPoolExhausted = errors.New("pager: buffer pool exhausted (all frames pinned)")
 
 // Stats is a point-in-time copy of the pool's counters. All counters are
@@ -96,6 +96,10 @@ type Pool struct {
 	table  map[pageKey]*Frame
 	hand   int
 	nextID uint32
+	// unpinned is signalled (on mu) when a frame's last pin drops while a
+	// GetWait caller is waiting for one; waiters counts those callers.
+	unpinned sync.Cond
+	waiters  int
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -110,7 +114,9 @@ func NewPool(frames int) *Pool {
 	if frames <= 0 {
 		frames = DefaultPoolFrames
 	}
-	return &Pool{cap: frames, table: make(map[pageKey]*Frame)}
+	p := &Pool{cap: frames, table: make(map[pageKey]*Frame)}
+	p.unpinned.L = &p.mu
+	return p
 }
 
 // Register attaches a backend to the pool, returning the handle page reads
@@ -147,24 +153,49 @@ func (p *Pool) Capacity() int { return p.cap }
 // channels make the wait per-page, so two workers faulting different pages
 // never serialize each other's I/O.
 func (p *Pool) Get(f *File, page uint32) (fr *Frame, miss bool, err error) {
+	return p.get(f, page, false)
+}
+
+// GetWait is Get for callers that hold no other pin of this pool while
+// calling it: when every frame is pinned it waits for an unpin instead of
+// returning ErrPoolExhausted. Such a caller can never be the one keeping
+// the pool full, so a pool smaller than the number of concurrent readers
+// only serializes them — it never fails a query. The wait ends when any
+// pinned frame's holder releases it, which for scan cursors is right after
+// one page read and decode.
+func (p *Pool) GetWait(f *File, page uint32) (fr *Frame, miss bool, err error) {
+	return p.get(f, page, true)
+}
+
+func (p *Pool) get(f *File, page uint32, wait bool) (fr *Frame, miss bool, err error) {
 	key := pageKey{file: f.id, page: page}
 	p.mu.Lock()
-	if fr := p.table[key]; fr != nil {
-		fr.pins++
-		fr.ref = true
-		ready := fr.ready
-		p.mu.Unlock()
-		p.pins.Add(1)
-		p.hits.Add(1)
-		<-ready
-		if fr.err != nil {
-			err := fr.err
-			p.Release(fr)
-			return nil, false, err
+	for {
+		if fr := p.table[key]; fr != nil {
+			fr.pins++
+			fr.ref = true
+			ready := fr.ready
+			p.mu.Unlock()
+			p.pins.Add(1)
+			p.hits.Add(1)
+			<-ready
+			if fr.err != nil {
+				err := fr.err
+				p.Release(fr)
+				return nil, false, err
+			}
+			return fr, false, nil
 		}
-		return fr, false, nil
+		fr, err = p.grabFrameLocked()
+		if err != ErrPoolExhausted || !wait {
+			break
+		}
+		// Another reader may load this very page while we wait, so look it
+		// up again rather than only retrying the frame grab.
+		p.waiters++
+		p.unpinned.Wait()
+		p.waiters--
 	}
-	fr, err = p.grabFrameLocked()
 	if err != nil {
 		p.mu.Unlock()
 		return nil, false, err
@@ -201,7 +232,7 @@ func (p *Pool) Get(f *File, page uint32) (fr *Frame, miss bool, err error) {
 	return fr, true, nil
 }
 
-// Release unpins a frame obtained from Get.
+// Release unpins a frame obtained from Get or GetWait.
 func (p *Pool) Release(fr *Frame) {
 	p.mu.Lock()
 	fr.pins--
@@ -209,10 +240,15 @@ func (p *Pool) Release(fr *Frame) {
 		p.mu.Unlock()
 		panic("pager: frame released more times than pinned")
 	}
-	if fr.pins == 0 && fr.dead {
-		fr.dead = false
-		fr.key = pageKey{}
-		p.free = append(p.free, fr)
+	if fr.pins == 0 {
+		if fr.dead {
+			fr.dead = false
+			fr.key = pageKey{}
+			p.free = append(p.free, fr)
+		}
+		if p.waiters > 0 {
+			p.unpinned.Broadcast()
+		}
 	}
 	p.mu.Unlock()
 }

@@ -142,7 +142,7 @@ type pagedCursor struct {
 // idx at the cursor's current scan position within the page.
 func (c *pagedCursor) load() error {
 	pr := c.pr
-	fr, miss, err := pr.pool.Get(pr.file, pr.hf.dataStart+c.page)
+	fr, miss, err := pr.pool.GetWait(pr.file, pr.hf.dataStart+c.page)
 	if err != nil {
 		return err
 	}
