@@ -17,6 +17,11 @@ type NodeBounds struct {
 	// (degree-norm) join bounds folded in; UBTight <= Bounds.UB always, and
 	// equals Bounds.UB when no pessimistic bound reaches the node.
 	UBTight int64
+	// Runtime is the node's ledger counters as the pass read them: the one
+	// read of the node per pass, which the bounds above were refined with.
+	// Samplers take every other per-node counter they need from it, so a
+	// sample is internally consistent without a second ledger read.
+	Runtime exec.StatsSnapshot
 }
 
 // BoundsSnapshot is the result of one bounds pass over the plan at some
@@ -205,7 +210,7 @@ func walkBounds(shape *PlanShape, led *ledger.Ledger, id ledger.NodeID, mult, mu
 	if perRunT.UB > perRun.UB {
 		perRunT.UB = perRun.UB
 	}
-	snap.Nodes = append(snap.Nodes, NodeBounds{ID: id, Bounds: total, UBTight: totalT.UB})
+	snap.Nodes = append(snap.Nodes, NodeBounds{ID: id, Bounds: total, UBTight: totalT.UB, Runtime: rt})
 	return perRun, perRunT
 }
 

@@ -26,6 +26,10 @@ type BoundsEvaluator struct {
 	snap BoundsSnapshot
 	n    int   // node count
 	idx  []int // NodeID -> position in snap.Nodes
+	// tight is set when some node carries a pessimistic bound. Without one
+	// the tight track equals the classic track, so Compute skips it and
+	// with it the second FinalBounds call per node.
+	tight bool
 }
 
 // evalNode caches the per-node static structure the full walk re-derives
@@ -102,6 +106,9 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger
 		pessUB:      sn.PessimisticUB,
 		id:          id,
 	}
+	if sn.PessimisticUB >= 0 {
+		ev.tight = true
+	}
 	caps := sn.demandCaps(demandCap, ev.opts, make([]int64, len(sn.Children)))
 	stops := sn.earlyStops(mayStop, make([]bool, len(sn.Children)))
 	for i, c := range sn.Children {
@@ -147,8 +154,9 @@ func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
 // eval is walkBounds over the cached structure: same arithmetic, no
 // allocations, with the plan-total LB/UB/UBTight accumulated in-line (the
 // totals fold node bounds in post-order instead of a second sweep over the
-// snapshot). mult bounds how many times this subtree may be re-opened;
-// multT is the tight track's rescan multiplier.
+// snapshot). Each node's ledger slot is read once and recorded with its
+// bounds. mult bounds how many times this subtree may be re-opened; multT
+// is the tight track's rescan multiplier.
 func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT exec.CardBounds) {
 	if !n.hasRescan {
 		for i, c := range n.children {
@@ -173,22 +181,42 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 		}
 	}
 
-	rule := n.rule.FinalBounds(n.childBounds)
-	ruleT := n.rule.FinalBounds(n.childTight)
-	if n.pessUB >= 0 {
-		ruleT = capBounds(ruleT, n.pessUB)
+	rt := n.view.Snapshot()
+	total, perRun := n.settle(n.rule.FinalBounds(n.childBounds), mult, rt)
+	totalT, perRunT := total, perRun
+	if ev.tight {
+		ruleT := n.rule.FinalBounds(n.childTight)
+		if n.pessUB >= 0 {
+			ruleT = capBounds(ruleT, n.pessUB)
+		}
+		totalT, perRunT = n.settle(ruleT, multT, rt)
+		if totalT.UB > total.UB {
+			totalT.UB = total.UB
+		}
+		if perRunT.UB > perRun.UB {
+			perRunT.UB = perRun.UB
+		}
 	}
-	deliveredRule, deliveredRuleT := rule, ruleT
-	sameEmission, sameEmissionT := true, true
+	nb := &ev.snap.Nodes[n.snapIdx]
+	nb.Bounds, nb.UBTight, nb.Runtime = total, totalT.UB, rt
+	ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
+	ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
+	ev.snap.UBTight = exec.SatAdd(ev.snap.UBTight, totalT.UB)
+	return perRun, perRunT
+}
+
+// settle turns one track's static rule into the node's total-count bounds
+// and its per-run delivered bounds, applying early stops, demand caps and
+// the runtime counters rt exactly as walkBounds does. mult is the track's
+// rescan multiplier.
+func (n *evalNode) settle(rule exec.CardBounds, mult int64, rt exec.StatsSnapshot) (total, perRun exec.CardBounds) {
+	deliveredRule, sameEmission := rule, true
 	if n.delivered != nil {
 		deliveredRule = n.delivered.DeliveredBounds()
 		sameEmission = deliveredRule == rule
-		deliveredRuleT = deliveredRule
-		sameEmissionT = deliveredRuleT == ruleT
 	}
 	if n.mayStop {
 		rule.LB, deliveredRule.LB = 0, 0
-		ruleT.LB, deliveredRuleT.LB = 0, 0
 	}
 	if n.demandCap >= 0 && mult == 1 {
 		deliveredRule = capBounds(deliveredRule, n.demandCap)
@@ -196,47 +224,13 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 			rule = capBounds(rule, n.demandCap)
 		}
 	}
-	if n.demandCap >= 0 && multT == 1 {
-		deliveredRuleT = capBounds(deliveredRuleT, n.demandCap)
-		if sameEmissionT {
-			ruleT = capBounds(ruleT, n.demandCap)
-		}
-	}
-	rt := n.view.Snapshot()
-
-	var total, totalT exec.CardBounds
 	if mult == 1 {
 		pinned := rt.Done && rt.Rescans == 0
-		total = refineWithRuntime(rule, rt.Returned, pinned)
-		perRun = refineWithRuntime(deliveredRule, rt.Delivered, pinned)
-	} else {
-		perRun = deliveredRule
-		total = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(rule.UB, mult)}
-		if total.UB < total.LB {
-			total.UB = total.LB
-		}
+		return refineWithRuntime(rule, rt.Returned, pinned), refineWithRuntime(deliveredRule, rt.Delivered, pinned)
 	}
-	if multT == 1 {
-		pinned := rt.Done && rt.Rescans == 0
-		totalT = refineWithRuntime(ruleT, rt.Returned, pinned)
-		perRunT = refineWithRuntime(deliveredRuleT, rt.Delivered, pinned)
-	} else {
-		perRunT = deliveredRuleT
-		totalT = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(ruleT.UB, multT)}
-		if totalT.UB < totalT.LB {
-			totalT.UB = totalT.LB
-		}
+	total = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(rule.UB, mult)}
+	if total.UB < total.LB {
+		total.UB = total.LB
 	}
-	if totalT.UB > total.UB {
-		totalT.UB = total.UB
-	}
-	if perRunT.UB > perRun.UB {
-		perRunT.UB = perRun.UB
-	}
-	ev.snap.Nodes[n.snapIdx].Bounds = total
-	ev.snap.Nodes[n.snapIdx].UBTight = totalT.UB
-	ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
-	ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
-	ev.snap.UBTight = exec.SatAdd(ev.snap.UBTight, totalT.UB)
-	return perRun, perRunT
+	return total, deliveredRule
 }

@@ -102,23 +102,24 @@ func (s *State) MuRunning() float64 {
 }
 
 // Tracker captures States from a running plan. It owns the plan's shape,
-// its ledger, and a prebuilt BoundsEvaluator, so each capture is one
-// incremental bounds pass plus a sweep over precomputed node indices — no
-// per-capture maps, and no operator-tree access of any kind on the sample
-// path. Captures read ledger counters atomically and may therefore run on a
-// goroutine other than the executing ones (AsyncMonitor does); Capture
-// itself is not reentrant.
+// its ledger, a prebuilt BoundsEvaluator and the State it fills, so each
+// capture is one incremental bounds pass plus a sweep over precomputed node
+// indices: no allocations, and no operator-tree access of any kind on the
+// sample path. The bounds pass reads each node's ledger slot once and
+// records the counters with its bounds; every counter the State carries
+// comes from that record, so one capture reads the ledger once. Captures
+// read ledger counters atomically and may therefore run on a goroutine
+// other than the executing ones (AsyncMonitor does); Capture itself is not
+// reentrant.
 type Tracker struct {
-	shape     *PlanShape
-	led       *ledger.Ledger
-	ev        *BoundsEvaluator
-	drivers   []ledger.NodeID
-	driverIdx []int
-	leaves    []ledger.NodeID // leaves outside rescanned subtrees
-	leafIdx   []int
-	pipelines []Pipeline
-	pipeOps   [][]int // snapshot index per pipeline member
-	pipeDrvs  [][]int // snapshot index per pipeline driver
+	shape    *PlanShape
+	led      *ledger.Ledger
+	ev       *BoundsEvaluator
+	snap     *BoundsSnapshot // the most recent Capture's bounds pass
+	state    State
+	leafIdx  []int   // snapshot index per leaf outside rescanned subtrees
+	pipeOps  [][]int // snapshot index per pipeline member
+	pipeDrvs [][]int // snapshot index per pipeline driver
 }
 
 // NewTracker prepares a tracker for the plan rooted at root, deriving its
@@ -133,19 +134,28 @@ func NewTracker(root exec.Operator) *Tracker {
 // (PlanShape, *Ledger) pair.
 func NewShapeTracker(shape *PlanShape, led *ledger.Ledger) *Tracker {
 	t := &Tracker{
-		shape:     shape,
-		led:       led,
-		ev:        NewShapeEvaluator(shape, led, BoundsOptions{}),
-		pipelines: Pipelines(shape),
+		shape: shape,
+		led:   led,
+		ev:    NewShapeEvaluator(shape, led, BoundsOptions{}),
 	}
-	for _, p := range t.pipelines {
-		t.drivers = append(t.drivers, p.Drivers...)
+	indexes := func(ids []ledger.NodeID) []int {
+		out := make([]int, len(ids))
+		for i, id := range ids {
+			out[i] = t.ev.IndexOfID(id)
+		}
+		return out
+	}
+	drivers := 0
+	for _, p := range Pipelines(shape) {
+		t.pipeOps = append(t.pipeOps, indexes(p.Ops))
+		t.pipeDrvs = append(t.pipeDrvs, indexes(p.Drivers))
+		drivers += len(p.Drivers)
 	}
 	var walk func(id ledger.NodeID, underRescan bool)
 	walk = func(id ledger.NodeID, underRescan bool) {
 		n := shape.Node(id)
 		if n.IsLeaf() && !underRescan {
-			t.leaves = append(t.leaves, id)
+			t.leafIdx = append(t.leafIdx, t.ev.IndexOfID(id))
 			return
 		}
 		for i, c := range n.Children {
@@ -153,24 +163,8 @@ func NewShapeTracker(shape *PlanShape, led *ledger.Ledger) *Tracker {
 		}
 	}
 	walk(shape.Root().ID, false)
-	for _, d := range t.drivers {
-		t.driverIdx = append(t.driverIdx, t.ev.IndexOfID(d))
-	}
-	for _, l := range t.leaves {
-		t.leafIdx = append(t.leafIdx, t.ev.IndexOfID(l))
-	}
-	for _, p := range t.pipelines {
-		ops := make([]int, len(p.Ops))
-		for i, id := range p.Ops {
-			ops[i] = t.ev.IndexOfID(id)
-		}
-		drvs := make([]int, len(p.Drivers))
-		for i, d := range p.Drivers {
-			drvs[i] = t.ev.IndexOfID(d)
-		}
-		t.pipeOps = append(t.pipeOps, ops)
-		t.pipeDrvs = append(t.pipeDrvs, drvs)
-	}
+	t.state.Drivers = make([]DriverState, 0, drivers)
+	t.state.Pipelines = make([]PipelineState, 0, len(t.pipeOps))
 	return t
 }
 
@@ -180,20 +174,23 @@ func (t *Tracker) Ledger() *ledger.Ledger { return t.led }
 // Shape returns the plan's shape.
 func (t *Tracker) Shape() *PlanShape { return t.shape }
 
-// Capture snapshots the current State.
+// Capture snapshots the current State. The State is owned by the tracker
+// and valid until the next Capture, which overwrites it in place (its
+// Drivers and Pipelines slices included); copy what must outlive that.
 func (t *Tracker) Capture() *State {
 	snap := t.ev.Compute()
-	s := &State{
-		LB:      snap.LB,
-		UB:      snap.UB,
-		UBTight: snap.UBTight,
-	}
+	t.snap = snap
+	s := &t.state
+	s.LB, s.UB, s.UBTight = snap.LB, snap.UB, snap.UBTight
 	// Curr from the same per-node counters the bounds saw: summing the
 	// snapshot's refined LBs would over-count (they include static lower
-	// bounds of nodes that have not produced yet), so re-read the monotone
-	// Returned counters. Reading them at most after the bounds pass keeps
-	// Curr <= total(Q) <= UB.
-	s.Curr = t.led.TotalReturned()
+	// bounds of nodes that have not produced yet), so sum the Returned
+	// counters the pass read. Every node's LB is at least its Returned, so
+	// Curr <= LB <= total(Q) <= UB.
+	s.Curr = 0
+	for i := range snap.Nodes {
+		s.Curr += snap.Nodes[i].Runtime.Returned
+	}
 	if s.LB < 1 {
 		s.LB = 1
 	}
@@ -206,37 +203,48 @@ func (t *Tracker) Capture() *State {
 	if s.UBTight > s.UB {
 		s.UBTight = s.UB
 	}
-	for i, d := range t.drivers {
-		rt := t.led.View(d).Snapshot()
-		ds := DriverState{
-			Returned: rt.Returned,
-			Done:     rt.Done && rt.Rescans == 0,
-			Total:    estimateNodeTotal(t.shape.Node(d).EstCard, rt, snap.Nodes[t.driverIdx[i]].Bounds),
-		}
-		s.Drivers = append(s.Drivers, ds)
+	s.LeafCard, s.LeafConsumed = 0, 0
+	for _, j := range t.leafIdx {
+		s.LeafCard += snap.Nodes[j].Bounds.LB
+		s.LeafConsumed += snap.Nodes[j].Runtime.Returned
 	}
-	for i, l := range t.leaves {
-		s.LeafCard += snap.Nodes[t.leafIdx[i]].Bounds.LB
-		s.LeafConsumed += t.led.View(l).Returned()
-	}
-	for pi, p := range t.pipelines {
+	s.Drivers, s.Pipelines = s.Drivers[:0], s.Pipelines[:0]
+	for pi, ops := range t.pipeOps {
 		ps := PipelineState{Done: true}
-		for oi, id := range p.Ops {
-			rt := t.led.View(id).Snapshot()
+		for _, j := range ops {
+			rt := snap.Nodes[j].Runtime
 			ps.Work += rt.Returned
-			ps.EstWork += estimateNodeTotal(t.shape.Node(id).EstCard, rt, snap.Nodes[t.pipeOps[pi][oi]].Bounds)
+			ps.EstWork += t.nodeTotal(j)
 			if !rt.Done || rt.Rescans > 0 {
 				ps.Done = false
 			}
 		}
-		for di, d := range p.Drivers {
-			rt := t.led.View(d).Snapshot()
+		for _, j := range t.pipeDrvs[pi] {
+			rt, total := snap.Nodes[j].Runtime, t.nodeTotal(j)
 			ps.DriverReturned += rt.Returned
-			ps.DriverTotal += estimateNodeTotal(t.shape.Node(d).EstCard, rt, snap.Nodes[t.pipeDrvs[pi][di]].Bounds)
+			ps.DriverTotal += total
+			s.Drivers = append(s.Drivers, DriverState{Returned: rt.Returned, Total: total, Done: rt.Done && rt.Rescans == 0})
 		}
 		s.Pipelines = append(s.Pipelines, ps)
 	}
 	return s
+}
+
+// nodeTotal estimates the final count of the node at snapshot index j from
+// the most recent bounds pass.
+func (t *Tracker) nodeTotal(j int) float64 {
+	nb := &t.snap.Nodes[j]
+	return estimateNodeTotal(t.shape.Node(nb.ID).EstCard, nb.Runtime, nb.Bounds)
+}
+
+// Runtime returns node id's ledger counters as the most recent Capture read
+// them: the same instant its State and bounds describe. It is the zero
+// Snapshot before the first Capture.
+func (t *Tracker) Runtime(id ledger.NodeID) ledger.Snapshot {
+	if t.snap == nil {
+		return ledger.Snapshot{}
+	}
+	return t.snap.Nodes[t.ev.IndexOfID(id)].Runtime
 }
 
 // estimateNodeTotal estimates a node's final GetNext count: exact when the

@@ -10,9 +10,9 @@ import (
 // equivChecker compares the incremental BoundsEvaluator against the
 // full-walk ComputeBoundsOpt on one plan, for both the default options and
 // the demand-cap-disabled variant. The two implementations must agree
-// exactly — same LB/UB and the same per-node bounds in the same emission
-// order — at every instant, since the evaluator is advertised as a drop-in
-// replacement for the walk.
+// exactly — same LB/UB/UBTight and the same per-node bounds and counters in
+// the same emission order — at every instant, since the evaluator is
+// advertised as a drop-in replacement for the walk.
 type equivChecker struct {
 	op       exec.Operator
 	variants []equivVariant
@@ -44,9 +44,9 @@ func (c *equivChecker) check(t testing.TB, label string, calls int64) {
 	for _, v := range c.variants {
 		got := v.ev.Compute()
 		want := core.ComputeBoundsOpt(c.op, v.opts)
-		if got.LB != want.LB || got.UB != want.UB {
-			t.Fatalf("%s: [%s] at call %d evaluator bounds [%d,%d] != full walk [%d,%d]",
-				label, v.name, calls, got.LB, got.UB, want.LB, want.UB)
+		if got.LB != want.LB || got.UB != want.UB || got.UBTight != want.UBTight {
+			t.Fatalf("%s: [%s] at call %d evaluator bounds [%d,%d] tight %d != full walk [%d,%d] tight %d",
+				label, v.name, calls, got.LB, got.UB, got.UBTight, want.LB, want.UB, want.UBTight)
 		}
 		if len(got.Nodes) != len(want.Nodes) {
 			t.Fatalf("%s: [%s] at call %d evaluator has %d nodes, full walk %d",
@@ -57,9 +57,9 @@ func (c *equivChecker) check(t testing.TB, label string, calls int64) {
 				t.Fatalf("%s: [%s] at call %d node %d id mismatch (emission order diverged)",
 					label, v.name, calls, j)
 			}
-			if got.Nodes[j].Bounds != want.Nodes[j].Bounds {
-				t.Fatalf("%s: [%s] at call %d node %d (id %d) evaluator bounds %+v != full walk %+v",
-					label, v.name, calls, j, want.Nodes[j].ID, got.Nodes[j].Bounds, want.Nodes[j].Bounds)
+			if got.Nodes[j] != want.Nodes[j] {
+				t.Fatalf("%s: [%s] at call %d node %d (id %d) evaluator %+v != full walk %+v",
+					label, v.name, calls, j, want.Nodes[j].ID, got.Nodes[j], want.Nodes[j])
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
+	"sqlprogress/internal/sqlval"
 )
 
 // Admission errors.
@@ -331,11 +332,7 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 		for _, c := range s.root.Schema().Columns {
 			s.cols = append(s.cols, c.Name)
 		}
-		// Keep a copy of the first keepRows rows: a sub-slice would pin the
-		// whole result array, which RunBatch sizes from the root's call
-		// bound, for as long as the session is remembered.
-		s.rows = make([]schema.Row, min(len(rows), s.keepRows))
-		copy(s.rows, rows)
+		s.rows = keepRows(rows, s.keepRows)
 		m.c.completed.Add(1)
 	case errors.Is(runErr, exec.ErrCanceled):
 		s.state = StateCanceled
@@ -370,6 +367,36 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 	}
 	final.State = s.state
 	s.publishLocked(final)
+	// Release the plan. A finished session is remembered for its Info, its
+	// final event, its kept rows and its samples; the operator tree, the
+	// execution context, the monitor (its tracker and estimators) and the
+	// per-node scratch would otherwise stay reachable, with every batch
+	// buffer and arena slab they hold, for as long as the session is.
+	if s.mon != nil {
+		s.samples = s.mon.Samples
+	}
+	s.root, s.execCtx, s.mon = nil, nil, nil
+	s.shape, s.led, s.nodeScratch, s.nodePrev = nil, nil, nil, nil
+}
+
+// keepRows copies the first n rows into one exact-size value block. A
+// sub-slice would pin the whole result array, which RunBatch sizes from the
+// root's call bound, and the rows themselves point into the plan's arena
+// slabs; the copy pins neither.
+func keepRows(rows []schema.Row, n int) []schema.Row {
+	rows = rows[:min(len(rows), n)]
+	width := 0
+	for _, r := range rows {
+		width += len(r)
+	}
+	block := make([]sqlval.Value, width)
+	out := make([]schema.Row, len(rows))
+	for i, r := range rows {
+		out[i] = block[:len(r):len(r)]
+		copy(out[i], r)
+		block = block[len(r):]
+	}
+	return out
 }
 
 // onDone frees a run slot and starts queued work.

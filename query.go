@@ -252,7 +252,8 @@ type ProgressUpdate struct {
 }
 
 // RunWithProgress executes the query, invoking cb at each sampling point.
-// The callback runs synchronously on the execution path — keep it cheap.
+// The callback runs synchronously on the execution path — keep it cheap. A
+// nil cb runs the query like Run, after validating opts.
 func (q *Query) RunWithProgress(opts ProgressOptions, cb func(ProgressUpdate)) (*Result, error) {
 	return q.RunWithProgressContext(context.Background(), opts, cb)
 }
@@ -264,7 +265,6 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	if q.used {
 		return nil, fmt.Errorf("sqlprogress: query already executed")
 	}
-	q.used = true
 	if opts.Estimator == "" {
 		opts.Estimator = Safe
 	}
@@ -277,17 +277,25 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		}
 		ests[i] = e
 	}
-	every := opts.Every
-	if every <= 0 {
-		snap := core.ComputeBounds(q.root)
-		every = snap.UB / 200
-		if every < 1 || snap.UB >= exec.Unbounded {
-			every = maxInt64(snap.LB/200, 1)
-		}
+	if cb == nil {
+		// Nothing to deliver: install no hook, so the run keeps the batch
+		// fast path.
+		return q.RunContext(ctx)
 	}
+	q.used = true
 
 	tracker := core.NewTracker(q.root)
-	shape, led := core.ShapeOf(q.root)
+	shape := tracker.Shape()
+	every := opts.Every
+	if every <= 0 {
+		// Capture's clamps (LB >= 1, UB >= LB) only touch bounds below 200,
+		// where the period is 1 either way.
+		s := tracker.Capture()
+		every = s.UB / 200
+		if every < 1 || s.UB >= exec.Unbounded {
+			every = maxInt64(s.LB/200, 1)
+		}
+	}
 	q.ctx = exec.NewCtx()
 	start := time.Now()
 	// Under parallel (exchange-based) plans the hook fires concurrently from
@@ -295,9 +303,8 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	// instants already overtaken by a delivered update are skipped.
 	var mu sync.Mutex
 	var last int64
-	var scratch []exec.StatsSnapshot
 	q.ctx.OnGetNext = func(calls int64) {
-		if calls%every != 0 || cb == nil {
+		if calls%every != 0 {
 			return
 		}
 		mu.Lock()
@@ -311,22 +318,25 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		u := ProgressUpdate{
 			Lo: lo, Hi: hi, Calls: s.Curr,
 			Estimates: make(map[EstimatorKind]float64, len(ests)),
+			Nodes:     make([]NodeCount, shape.Len()),
 			Elapsed:   time.Since(start),
 		}
 		if q.db != nil && q.db.pool != nil {
 			st := q.db.pool.Stats()
 			u.Pool = &st
 		}
-		scratch = led.SnapshotAll(scratch[:0])
-		u.Nodes = make([]NodeCount, len(scratch))
-		for i, snap := range scratch {
+		// Node counters come from the capture's own ledger read, the same
+		// instant the bounds and estimates describe.
+		for i := range u.Nodes {
+			id := ledger.NodeID(i)
+			rt := tracker.Runtime(id)
 			u.Nodes[i] = NodeCount{
 				ID:        int32(i),
-				Name:      shape.Node(ledger.NodeID(i)).Name,
-				Calls:     snap.Returned,
-				Delivered: snap.Delivered,
-				Rescans:   snap.Rescans,
-				Done:      snap.Done,
+				Name:      shape.Node(id).Name,
+				Calls:     rt.Returned,
+				Delivered: rt.Delivered,
+				Rescans:   rt.Rescans,
+				Done:      rt.Done,
 			}
 		}
 		for i, e := range ests {
