@@ -2,6 +2,7 @@ package sqlprogress
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -110,6 +111,53 @@ func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(2*n), "getnext/op")
+}
+
+// BenchmarkExecINLJoinBatch is BenchmarkExecINLJoinNoMonitor on the
+// vectorized engine: the workload TestINLJoinBatchAllocs holds to its
+// allocation budget.
+func BenchmarkExecINLJoinBatch(b *testing.B) {
+	const n = 20_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		op := synthPlan(n)
+		b.StartTimer()
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestINLJoinBatchAllocs holds the batch engine's allocation discipline
+// (arena, slab storage, dense index, result collection) on the 20k-row INL
+// plan to a fixed budget. The count is deterministic for this plan, so any
+// growth past the limit is a real regression. Plan building is outside the
+// measurement.
+func TestINLJoinBatchAllocs(t *testing.T) {
+	const (
+		rows  = 20_000
+		runs  = 5
+		limit = 100 // allocs per RunBatch
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		op := synthPlan(rows)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	got := total / runs
+	t.Logf("RunBatch over the %d-row INL plan: %d allocs/op (limit %d)", rows, got, limit)
+	if got > limit {
+		t.Fatalf("allocs/op %d exceeds the limit %d", got, limit)
+	}
 }
 
 // BenchmarkMonitorOverhead measures the cost of inline progress monitoring

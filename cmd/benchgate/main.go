@@ -1,111 +1,58 @@
-// Command benchgate guards the vectorized executor's allocation budget in
-// CI. It re-runs the batch INL-join benchmark through testing.Benchmark and
-// compares allocs/op against a checked-in BENCH_N.json artifact, failing
-// when the measured count exceeds the recorded one by more than the slack
-// factor. With no -f, the newest artifact containing the gated row is used
-// (numbered artifacts are suite-specific — BENCH_5 holds paged-storage
-// rows, not the INL-join row — so the gate scans newest-first for its
-// row). Only allocations are gated: allocs/op is deterministic for this
-// workload, while wall-clock varies too much across CI machines to gate
-// without flakes (ns/op is printed for information only).
+// Command benchgate holds CI's performance and accuracy gates. Every mode
+// re-measures the code it was built from; none reads a timing out of a
+// checked-in file.
 //
-// With -acc the gate switches to the estimator accuracy matrix: it re-runs
-// the full sweep (deterministic, so the comparison is exact) against the
-// checked-in BENCH_ACC.json and fails when any cell's max ratio error
-// regresses past the slack factor, any hard-bound soundness counter fires —
-// including the pessimistic degree-norm bound's (ubtight_regressions,
-// tight_bound_misses) — any baseline cell disappears, a skewed-stale cell
-// loses the paper's safe <= dne ordering or the robust-combiner ordering
+// With -par it times the partitioned hash join and the parallel
+// pre-aggregation at 8 workers against their serial batch-engine
+// counterparts, one run each in this process, and fails when either speedup
+// falls below its floor (-minjoin, -minagg). Every physical page read of
+// the scanned side stalls one millisecond through a cold buffer pool, so the
+// stalls of different workers overlap: the ratio measures how well the
+// partitioned operators overlap their reads, not the host's core count, and
+// holds on a 2-CPU machine.
+//
+// With -acc it re-runs the estimator accuracy matrix (deterministic, so the
+// comparison is exact) against the checked-in BENCH_ACC.json (-f) and fails
+// when any cell's max ratio error regresses past the slack factor, any
+// hard-bound soundness counter fires — including the pessimistic
+// degree-norm bound's (ubtight_regressions, tight_bound_misses) — any
+// baseline cell disappears, a skewed-stale cell loses the paper's
+// safe <= dne ordering or the robust-combiner ordering
 // combiner <= min(dne, safe), or the lp-safe estimator fails to strictly
 // beat safe on at least one cell (the degree-sequence join bound must
 // demonstrably tighten something, or it has silently stopped attaching).
 // -perturb name=factor deliberately breaks an estimator first — CI uses it
-// as the gate's negative self-test.
+// as the gate's negative self-test. -acc -write PATH writes the sweep to
+// PATH instead of gating it; that is how BENCH_ACC.json is regenerated.
 //
-// With -par the gate validates the whole-plan parallelism artifact
-// (BENCH_6.json): every parallel join/agg and snapshot row must be present
-// and the checked-in 8-worker speedups must meet their floors (-minjoin,
-// -minagg).
+// The batch engine's allocation budget is a tier-1 test
+// (TestINLJoinBatchAllocs in the root package), not a mode of this tool.
+//
+// Usage:
+//
+//	go run ./cmd/benchgate -par [-minjoin 2.5] [-minagg 1.5]
+//	go run ./cmd/benchgate -acc [-f BENCH_ACC.json] [-slack 1.10] [-perturb dne=0.7]
+//	go run ./cmd/benchgate -acc -write BENCH_ACC.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"testing"
+	"time"
 
-	sqlprogress "sqlprogress"
 	"sqlprogress/internal/datagen"
 	"sqlprogress/internal/evalmatrix"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/plan"
+	"sqlprogress/internal/expr"
+	"sqlprogress/internal/fault"
+	"sqlprogress/internal/pager"
+	"sqlprogress/internal/schema"
+	"sqlprogress/internal/sqlval"
 )
-
-// dump mirrors cmd/benchdump's file layout (only the fields the gate needs).
-type dump struct {
-	Results []struct {
-		Name            string  `json:"name"`
-		NsPerOp         float64 `json:"ns_per_op"`
-		AllocsOp        int64   `json:"allocs_per_op"`
-		SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	} `json:"results"`
-}
-
-// synthPlan is the Section 5 INL plan (mirrors the root bench suite and
-// cmd/benchdump): a 20k-row skewed pair joined through the r1.a hash index.
-func synthPlan(n int) exec.Operator {
-	pair := datagen.NewSkewPair(n, int64(n), 2, 1)
-	db := sqlprogress.Open()
-	db.Catalog().AddRelation(pair.R1)
-	db.Catalog().AddRelation(pair.R2)
-	db.DeclareUnique("r1", "a")
-	b := plan.NewBuilder(db.Catalog())
-	return b.Scan("r1").INLJoin("r2", "b", "a", exec.InnerJoin).Op
-}
-
-// rowIn reads a dump file and returns the named row's allocs/op, or -1 if
-// the file lacks that row.
-func rowIn(file, row string) (int64, error) {
-	buf, err := os.ReadFile(file)
-	if err != nil {
-		return -1, err
-	}
-	var d dump
-	if err := json.Unmarshal(buf, &d); err != nil {
-		return -1, fmt.Errorf("%s: %v", file, err)
-	}
-	for _, r := range d.Results {
-		if r.Name == row {
-			return r.AllocsOp, nil
-		}
-	}
-	return -1, nil
-}
-
-// newestBaseline scans the checked-in BENCH_*.json artifacts newest-first
-// (highest number first) and returns the first one holding the gated row.
-func newestBaseline(row string) (string, int64, error) {
-	files, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		return "", -1, err
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(files)))
-	for _, f := range files {
-		base, err := rowIn(f, row)
-		if err != nil {
-			return "", -1, err
-		}
-		if base >= 0 {
-			return f, base, nil
-		}
-	}
-	return "", -1, fmt.Errorf("no BENCH_*.json artifact has a row named %q", row)
-}
 
 // parsePerturb turns "dne=0.7,pmax=1.2" into estimator output multipliers.
 func parsePerturb(s string) (map[string]float64, error) {
@@ -127,25 +74,42 @@ func parsePerturb(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// gateAcc is the accuracy-gate mode: re-run the matrix and hold every cell
-// to its checked-in baseline. Returns the number of violations (each is
-// printed as it is found).
-func gateAcc(baselinePath string, slack float64, perturb map[string]float64) int {
+// sweep runs the accuracy matrix with the -perturb multipliers applied.
+func sweep(perturbFlag string) ([]evalmatrix.Row, error) {
+	perturb, err := parsePerturb(perturbFlag)
+	if err != nil {
+		return nil, err
+	}
+	opts := evalmatrix.DefaultOptions()
+	opts.Perturb = perturb
+	return evalmatrix.Run(opts)
+}
+
+// writeAcc runs the accuracy matrix, prints its table and writes it to path.
+func writeAcc(path, perturbFlag string) error {
+	rows, err := sweep(perturbFlag)
+	if err != nil {
+		return err
+	}
+	fmt.Print(evalmatrix.Table(rows).Render())
+	if err := evalmatrix.WriteFile(path, rows); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// gateAcc is the accuracy-gate mode: hold every cell of a fresh sweep to
+// its checked-in baseline. Returns the number of violations (each is printed
+// as it is found).
+func gateAcc(baselinePath string, gotRows []evalmatrix.Row, slack float64) (int, error) {
 	baseRows, err := evalmatrix.ReadFile(baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
+		return 0, err
 	}
 	base := make(map[string]evalmatrix.Row, len(baseRows))
 	for _, r := range baseRows {
 		base[r.Key()] = r
-	}
-	opts := evalmatrix.DefaultOptions()
-	opts.Perturb = perturb
-	gotRows, err := evalmatrix.Run(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
 	}
 	got := make(map[string]evalmatrix.Row, len(gotRows))
 	bad := 0
@@ -208,7 +172,7 @@ func gateAcc(baselinePath string, slack float64, perturb map[string]float64) int
 	}
 	fmt.Printf("accuracy gate: %d cells x %d rows vs %s: %d violation(s), lp-safe tighter in %d cell(s)\n",
 		len(cells), len(gotRows), baselinePath, bad, lpTighter)
-	return bad
+	return bad, nil
 }
 
 func minF(a, b float64) float64 {
@@ -218,138 +182,182 @@ func minF(a, b float64) float64 {
 	return b
 }
 
-// gatePar is the parallel-speedup gate: it validates the checked-in
-// BENCH_6.json artifact — every expected parallel join/agg and snapshot row
-// present, and the 8-worker speedups over the serial batch engine at or
-// above their floors. Like ns/op in the allocation gate, the speedups are
-// not re-timed in CI: the artifact is regenerated by cmd/benchdump on a
-// developer machine, where the stall-overlap design makes the ratio a
-// property of the partitioned operators rather than of the host.
-func gatePar(path string, minJoin, minAgg float64) int {
-	buf, err := os.ReadFile(path)
+// The parallel gate's workload: a 40k-row single-column table scanned
+// through a cold pool whose every physical page read stalls parPageDelay.
+const (
+	parRows      = 40_000
+	parWorkers   = 8
+	parPageDelay = time.Millisecond
+)
+
+// stalledStore is a fresh cold-pool view of hf whose every physical page
+// read stalls parPageDelay. The pool reads outside its mutex, so the stalls
+// of different workers overlap.
+func stalledStore(hf *pager.HeapFile, frames int) schema.Store {
+	stalls := make([]fault.PageFault, hf.Backend().NumPages())
+	for i := range stalls {
+		stalls[i] = fault.PageFault{Page: uint32(i), Stall: parPageDelay}
+	}
+	return pager.NewPagedRelationBackend(hf, pager.NewPool(frames), fault.WrapBackend(hf.Backend(), stalls...))
+}
+
+// scanOf returns the scanned side of a gate plan: one whole-store scan when
+// workers is 0, else `workers` page-aligned partition scans over a pool with
+// two frames per worker plus two.
+func scanOf(hf *pager.HeapFile, workers int) []exec.Operator {
+	if workers == 0 {
+		return []exec.Operator{exec.NewStoreScan(stalledStore(hf, 4))}
+	}
+	st := stalledStore(hf, 2*workers+2)
+	parts := make([]exec.Operator, workers)
+	for i := range parts {
+		s := exec.NewStoreScanPartition(st, i, workers)
+		s.SetEstimatedCard(s.FinalBounds(nil).LB)
+		parts[i] = s
+	}
+	return parts
+}
+
+// writeHeap writes rel to a heap file in dir and opens it.
+func writeHeap(dir string, rel *schema.Relation) (*pager.HeapFile, error) {
+	path := filepath.Join(dir, rel.Name+".heap")
+	if err := pager.WriteRelation(path, rel); err != nil {
+		return nil, err
+	}
+	return pager.OpenHeapFile(path)
+}
+
+// speedup runs build serially (workers 0) and at parWorkers, once each, and
+// returns the serial wall time over the parallel one. Both runs must return
+// wantRows rows.
+func speedup(name string, wantRows int, build func(workers int) exec.Operator) (float64, error) {
+	var took [2]time.Duration
+	for i, w := range []int{0, parWorkers} {
+		op := build(w)
+		start := time.Now()
+		rows, err := exec.RunBatch(exec.NewCtx(), op)
+		took[i] = time.Since(start)
+		if err != nil {
+			return 0, fmt.Errorf("%s at %d workers: %w", name, w, err)
+		}
+		if len(rows) != wantRows {
+			return 0, fmt.Errorf("%s at %d workers: got %d rows, want %d", name, w, len(rows), wantRows)
+		}
+	}
+	x := float64(took[0]) / float64(took[1])
+	fmt.Printf("%s: serial %v, %d workers %v: %.2fx\n",
+		name, took[0].Round(time.Millisecond), parWorkers, took[1].Round(time.Millisecond), x)
+	return x, nil
+}
+
+// gatePar is the parallel-speedup gate: it measures the partitioned hash
+// join and the parallel pre-aggregation against their serial counterparts
+// and returns the number of floors missed.
+func gatePar(minJoin, minAgg float64) (int, error) {
+	dir, err := os.MkdirTemp("", "benchgate-par-")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+
+	// Partitioned hash join: a small in-memory dimension (unique keys, a
+	// tenth of the probe side — the build drain runs serially on the reader,
+	// so an oversized build side would just re-measure Amdahl's law) built
+	// against the stalled probe side; each dimension key matches exactly one
+	// probe row.
+	probe, err := writeHeap(dir, datagen.IntRelation("bigscan", "v", datagen.Sequence(parRows)))
+	if err != nil {
+		return 0, err
+	}
+	defer probe.Close()
+	dim := datagen.IntRelation("dim", "k", datagen.Sequence(parRows/10))
+	join, err := speedup("partitioned hash join", parRows/10, func(workers int) exec.Operator {
+		parts := scanOf(probe, workers)
+		build := exec.NewScan(dim)
+		bk := []expr.Expr{expr.NewCol(build.Schema(), "dim", "k")}
+		pk := []expr.Expr{expr.NewCol(parts[0].Schema(), "bigscan", "v")}
+		if workers == 0 {
+			return exec.NewHashJoin(build, parts[0], bk, pk, exec.InnerJoin)
+		}
+		return exec.NewParallelHashJoin(build, parts, bk, pk, exec.InnerJoin)
+	})
+	if err != nil {
+		return 0, err
+	}
+
+	// Parallel pre-aggregation: COUNT(*) + SUM(v) grouped by a zipf key,
+	// whose heavy keys recur across partitions so the merge does real work.
+	aggRel := datagen.IntRelation("bigagg", "v", datagen.ZipfValues(100, parRows, 1.2, 7))
+	groups := map[int64]bool{}
+	for _, row := range aggRel.Rows {
+		groups[row[0].AsInt()] = true
+	}
+	aggHeap, err := writeHeap(dir, aggRel)
+	if err != nil {
+		return 0, err
+	}
+	defer aggHeap.Close()
+	agg, err := speedup("parallel aggregation", len(groups), func(workers int) exec.Operator {
+		parts := scanOf(aggHeap, workers)
+		v := expr.NewCol(parts[0].Schema(), "bigagg", "v")
+		gb, names, kinds := []expr.Expr{v}, []string{"v"}, []sqlval.Kind{sqlval.KindInt}
+		aggs := []expr.Agg{{Kind: expr.AggCountStar, Name: "n"}, {Kind: expr.AggSum, Arg: v, Name: "s"}}
+		if workers == 0 {
+			return exec.NewHashAgg(parts[0], gb, names, kinds, aggs)
+		}
+		return exec.NewParallelHashAgg(parts, gb, names, kinds, aggs)
+	})
+	if err != nil {
+		return 0, err
+	}
+
+	bad := 0
+	if join < minJoin {
+		bad++
+		fmt.Fprintf(os.Stderr, "benchgate: partitioned hash join speedup %.2fx below the %.2fx floor\n", join, minJoin)
+	}
+	if agg < minAgg {
+		bad++
+		fmt.Fprintf(os.Stderr, "benchgate: parallel aggregation speedup %.2fx below the %.2fx floor\n", agg, minAgg)
+	}
+	fmt.Printf("parallel gate: join %.2fx (floor %.2fx), agg %.2fx (floor %.2fx): %d violation(s)\n",
+		join, minJoin, agg, minAgg, bad)
+	return bad, nil
+}
+
+func main() {
+	par := flag.Bool("par", false, "time the 8-worker parallel join and aggregation against serial and hold their speedups to floors")
+	minJoin := flag.Float64("minjoin", 2.5, "par mode: minimum 8-worker partitioned hash-join speedup vs serial batch")
+	minAgg := flag.Float64("minagg", 1.5, "par mode: minimum 8-worker parallel aggregation speedup vs serial batch")
+	acc := flag.Bool("acc", false, "re-run the estimator accuracy matrix and gate it against the baseline")
+	file := flag.String("f", "BENCH_ACC.json", "acc mode: baseline matrix")
+	slack := flag.Float64("slack", 1.10, "acc mode: allowed max-ratio-error growth factor")
+	perturbFlag := flag.String("perturb", "", "acc mode: multiply named estimators' outputs, e.g. dne=0.7 (negative self-test)")
+	write := flag.String("write", "", "acc mode: write the sweep to this path instead of gating it")
+	flag.Parse()
+
+	var bad int
+	var err error
+	switch {
+	case *par:
+		bad, err = gatePar(*minJoin, *minAgg)
+	case *acc && *write != "":
+		err = writeAcc(*write, *perturbFlag)
+	case *acc:
+		var rows []evalmatrix.Row
+		if rows, err = sweep(*perturbFlag); err == nil {
+			bad, err = gateAcc(*file, rows, *slack)
+		}
+	default:
+		fmt.Fprintln(os.Stderr, "benchgate: choose a gate: -par or -acc")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
-	var d dump
-	if err := json.Unmarshal(buf, &d); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	speedup := map[string]float64{}
-	present := map[string]bool{}
-	for _, r := range d.Results {
-		speedup[r.Name] = r.SpeedupVsSerial
-		present[r.Name] = true
-	}
-	bad := 0
-	fail := func(format string, args ...any) {
-		bad++
-		fmt.Fprintf(os.Stderr, "benchgate: "+format+"\n", args...)
-	}
-	required := []string{
-		"phash_join_serial_batch", "pagg_serial_batch",
-		"sample_snapshot_flat_64", "sample_snapshot_subslot_64x8",
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		required = append(required,
-			fmt.Sprintf("phash_join_workers_%d", w), fmt.Sprintf("pagg_workers_%d", w))
-	}
-	for _, name := range required {
-		if !present[name] {
-			fail("%s: missing row %q", path, name)
-		}
-	}
-	for row, floor := range map[string]float64{
-		"phash_join_workers_8": minJoin,
-		"pagg_workers_8":       minAgg,
-	} {
-		if got := speedup[row]; present[row] && got < floor {
-			fail("%s: %s speedup %.2fx below the %.2fx floor", path, row, got, floor)
-		}
-	}
-	fmt.Printf("parallel gate: %s: join 8w %.2fx (floor %.2fx), agg 8w %.2fx (floor %.2fx): %d violation(s)\n",
-		path, speedup["phash_join_workers_8"], minJoin, speedup["pagg_workers_8"], minAgg, bad)
-	return bad
-}
-
-func main() {
-	file := flag.String("f", "", "benchmark artifact to gate against (default: newest BENCH_*.json holding the row)")
-	row := flag.String("row", "exec_inl_join_batch", "artifact row holding the baseline")
-	slack := flag.Float64("slack", 1.10, "allowed allocs/op growth factor")
-	acc := flag.Bool("acc", false, "gate the estimator accuracy matrix against BENCH_ACC.json instead")
-	perturbFlag := flag.String("perturb", "", "acc mode: multiply named estimators' outputs, e.g. dne=0.7 (negative self-test)")
-	par := flag.Bool("par", false, "validate the parallel join/agg artifact (BENCH_6.json) speedup floors instead")
-	minJoin := flag.Float64("minjoin", 2.5, "par mode: minimum 8-worker partitioned hash-join speedup vs serial batch")
-	minAgg := flag.Float64("minagg", 1.5, "par mode: minimum 8-worker parallel aggregation speedup vs serial batch")
-	flag.Parse()
-
-	if *par {
-		baseline := *file
-		if baseline == "" {
-			baseline = "BENCH_6.json"
-		}
-		if bad := gatePar(baseline, *minJoin, *minAgg); bad > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *acc {
-		perturb, err := parsePerturb(*perturbFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		baseline := *file
-		if baseline == "" {
-			baseline = "BENCH_ACC.json"
-		}
-		if bad := gateAcc(baseline, *slack, perturb); bad > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var base int64
-	var err error
-	if *file == "" {
-		*file, base, err = newestBaseline(*row)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("gating against %s\n", *file)
-	} else {
-		base, err = rowIn(*file, *row)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		if base < 0 {
-			fmt.Fprintf(os.Stderr, "%s: no row named %q\n", *file, *row)
-			os.Exit(1)
-		}
-	}
-
-	const rows = 20_000
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			p := synthPlan(rows)
-			b.StartTimer()
-			if _, err := exec.RunBatch(exec.NewCtx(), p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	got := r.AllocsPerOp()
-	limit := int64(float64(base) * *slack)
-	fmt.Printf("%s: %d allocs/op (baseline %d, limit %d), %.0f ns/op informational\n",
-		*row, got, base, limit, float64(r.T.Nanoseconds())/float64(r.N))
-	if got > limit {
-		fmt.Fprintf(os.Stderr, "benchgate: allocs/op regression: %d > %d (baseline %d × %.2f)\n",
-			got, limit, base, *slack)
+	if bad > 0 {
 		os.Exit(1)
 	}
 }

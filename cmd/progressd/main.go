@@ -99,7 +99,8 @@ func main() {
 		StallAfter:      *stallAfter,
 		Pool:            db.BufferPool(),
 	})
-	httpSrv := &http.Server{Handler: server.New(mgr)}
+	httpSrv := &http.Server{Handler: server.New(mgr),
+		ReadHeaderTimeout: server.ReadHeaderTimeout, IdleTimeout: server.IdleTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // LpSafe is the safe estimator computed against the pessimistic upper bound:
 // Curr/sqrt(LB*UBTight). Its worst-case ratio error is sqrt(UBTight/LB) —
@@ -232,6 +235,22 @@ func ests2(e float64) float64 {
 	return e
 }
 
+// registry holds one constructor per estimator the package ships, in
+// RegisteredEstimators' order. Constructors rather than instances, so a
+// lookup builds only what it returns.
+var registry = []func() Estimator{
+	func() Estimator { return Trivial{} },
+	func() Estimator { return Dne{} },
+	func() Estimator { return DneDynamic{} },
+	func() Estimator { return ConstrainedDne{} },
+	func() Estimator { return Pmax{} },
+	func() Estimator { return Safe{} },
+	func() Estimator { return LpSafe{} },
+	func() Estimator { return MuSwitch{} },
+	func() Estimator { return &VarSwitch{} },
+	func() Estimator { return &Combiner{} },
+}
+
 // RegisteredEstimators returns one fresh instance of every estimator the
 // package ships, in a stable order. It is the single source of truth the
 // documentation lint (cmd/doclint) checks ESTIMATORS.md against, and a
@@ -239,16 +258,22 @@ func ests2(e float64) float64 {
 // are freshly constructed on every call, so the slice is safe to use for
 // one monitored execution.
 func RegisteredEstimators() []Estimator {
-	return []Estimator{
-		Trivial{},
-		Dne{},
-		DneDynamic{},
-		ConstrainedDne{},
-		Pmax{},
-		Safe{},
-		LpSafe{},
-		MuSwitch{},
-		&VarSwitch{},
-		&Combiner{},
+	out := make([]Estimator, len(registry))
+	for i, mk := range registry {
+		out[i] = mk()
 	}
+	return out
+}
+
+// NewEstimator returns a fresh instance of the registered estimator whose
+// Name is name — the one name-to-estimator lookup every surface (the public
+// API, the session service) resolves configured names through. Stateful
+// estimators are newly constructed on every call, so no two runs share one.
+func NewEstimator(name string) (Estimator, error) {
+	for _, mk := range registry {
+		if e := mk(); e.Name() == name {
+			return e, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown estimator %q", name)
 }

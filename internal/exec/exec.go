@@ -61,8 +61,8 @@ type Ctx struct {
 
 	// vectorized marks a run started by RunBatch: operators take their bulk
 	// accounting fast path when additionally no per-call hook is installed.
-	// Set once before execution starts and read-only during the run (worker
-	// goroutines of an Exchange read it concurrently).
+	// Set once before execution starts and read-only during the run (the
+	// worker goroutines of the parallel operators read it concurrently).
 	vectorized bool
 
 	canceled atomic.Bool

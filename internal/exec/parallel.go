@@ -14,10 +14,8 @@ import (
 // transport, per-worker ledger crediting, and the morsel-driven parallel
 // scan itself.
 //
-// Unlike Exchange — which parallelizes by running whole partition *subtrees*
-// on workers, one plan node per partition — these operators are single plan
-// nodes whose own counters are split across per-worker ledger sub-slots
-// (ledger.EnsureWorkers). Each worker writes only its own padded sub-slot,
+// Each of these operators is a single plan node whose own counters are
+// split across per-worker ledger sub-slots (ledger.EnsureWorkers). Each worker writes only its own padded sub-slot,
 // preserving the single-writer discipline the snapshot ordering protocol
 // relies on, and every reader aggregates the group through ledger.View. The
 // node's FinalBounds therefore stay those of the logical operator: a
@@ -88,8 +86,7 @@ func reopenWorkerSlots(op workerSlotted) {
 // gather is the worker→reader transport shared by the parallel operators:
 // workers hand the reader whole batches over a channel, recycling spent
 // batches through a free list (zero steady-state allocation, no row
-// copying), with first-error-wins failure and quit-based teardown — the
-// Exchange transport, factored out for operators that are single plan nodes.
+// copying), with first-error-wins failure and quit-based teardown.
 type gather struct {
 	ch       chan *Batch
 	free     chan *Batch
@@ -190,9 +187,8 @@ const morselRows = 4096
 
 // ParallelScan is the morsel-driven parallel scan: one leaf plan node whose
 // scan positions are carved into page-aligned morsels (Store.AlignWindow)
-// claimed dynamically by whichever worker is idle — replacing Exchange's
-// static partitioning, which stalls the whole plan behind the slowest
-// partition when costs are uneven. Each worker credits rows and weighted
+// claimed dynamically by whichever worker is idle, so uneven costs never
+// stall the whole plan behind one statically assigned partition. Each worker credits rows and weighted
 // read units to its own ledger sub-slot; the reader merges batches without
 // recounting, so the node's aggregate counters — and its final bounds
 // [n, n+MaxReadUnits] — are exactly a serial scan's.
@@ -200,8 +196,8 @@ const morselRows = 4096
 // Row order across morsels is nondeterministic in concurrent mode; the
 // lockstep variant drains morsels on the reader's goroutine in fixed order
 // for byte-deterministic runs (the evaluation matrix's parallel cells).
-// Predicates and permutations are not supported — partition them under an
-// Exchange instead.
+// Predicates and permutations are not supported: a predicate goes in a
+// Filter above the scan.
 type ParallelScan struct {
 	base
 	Src      schema.Store

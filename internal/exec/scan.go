@@ -46,8 +46,8 @@ type Scan struct {
 	delivered *CardBounds
 	// part/parts describe the partition window this scan covers (parts == 0
 	// means the whole relation). A partitioned scan visits the store-aligned
-	// window AlignWindow(part, parts) of the (possibly permuted) store — the
-	// building block an Exchange runs one worker over.
+	// window AlignWindow(part, parts) of the (possibly permuted) store — one
+	// probe partition of a ParallelHashJoin or ParallelHashAgg worker.
 	part, parts int
 	lo, hi      int
 }
@@ -78,14 +78,6 @@ func NewScanWithOrder(rel *schema.Relation, order []int32) *Scan {
 	s := &Scan{Rel: rel, Src: rel, Order: order}
 	s.init(rel.Schema())
 	return s
-}
-
-// NewScanPartition builds a scan over partition `part` of `parts` equal
-// slices of the relation's scan positions. The windows of parts sibling
-// scans are disjoint and cover the relation exactly, so an Exchange over
-// them produces the same multiset of rows as one full Scan.
-func NewScanPartition(rel *schema.Relation, part, parts int) *Scan {
-	return NewStoreScanPartition(rel, part, parts)
 }
 
 // NewStoreScanPartition builds a partition scan over any store. Windows are

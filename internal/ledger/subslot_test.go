@@ -135,3 +135,42 @@ func TestViewOfFallbackGroup(t *testing.T) {
 		t.Fatalf("ViewOf Returned = %d, want 12", got)
 	}
 }
+
+// snapshotLedger builds the 64-node ledger the SnapshotAll benchmarks read:
+// flat, or with 8 nodes carrying 8 worker sub-slots each.
+func snapshotLedger(subSlots bool) *Ledger {
+	l := New(64)
+	for i := 0; i < 64; i++ {
+		l.Slot(NodeID(i)).CountCalls(int64(i))
+	}
+	if subSlots {
+		for i := 0; i < 8; i++ {
+			l.EnsureWorkers(NodeID(i), 8)
+			for w := 0; w < 8; w++ {
+				l.WorkerSlot(NodeID(i), w).CountCalls(int64(w))
+			}
+		}
+	}
+	return l
+}
+
+// BenchmarkSnapshotAll measures one sampling pass's ledger read over a
+// 64-node plan, flat and with per-worker sub-slots: the difference is the
+// price the sub-slot aggregation adds to every sample of a parallel plan.
+func BenchmarkSnapshotAll(b *testing.B) {
+	for _, sub := range []bool{false, true} {
+		name := "flat_64"
+		if sub {
+			name = "subslot_64x8"
+		}
+		b.Run(name, func(b *testing.B) {
+			l := snapshotLedger(sub)
+			buf := l.SnapshotAll(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = l.SnapshotAll(buf[:0])
+			}
+		})
+	}
+}

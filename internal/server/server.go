@@ -4,7 +4,7 @@
 //
 // API (all JSON):
 //
-//	POST   /query                  {"sql": ..., "deadline_ms": ..., "estimators": [...]}
+//	POST   /query                  {"sql": ..., "deadline_ms": ..., "estimators": [...]} (at most 1 MiB)
 //	GET    /sessions               list all sessions
 //	GET    /sessions/{id}          one session, with latest progress
 //	DELETE /sessions/{id}          cancel
@@ -31,6 +31,20 @@ import (
 	"time"
 
 	"sqlprogress/internal/session"
+)
+
+// maxRequestBody caps POST /query's body; a larger one is refused with 413
+// before it is buffered.
+const maxRequestBody = 1 << 20
+
+// Connection timeouts for every http.Server serving this handler. A client
+// gets ReadHeaderTimeout to send its request headers, so a slow one cannot
+// hold a connection for free, and a keep-alive connection closes after
+// IdleTimeout without a request. There is no write timeout: an SSE progress
+// stream lives as long as its query.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
 )
 
 // Server is the HTTP handler serving one Manager.
@@ -84,8 +98,14 @@ type submitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.SQL == "" {

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +134,40 @@ func TestSubmitErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session status = %d", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRefused: a POST /query body past the 1 MiB cap gets 413,
+// creates no session, and leaves no goroutine behind once the client's
+// connections close. Without the cap the padded SQL would compile and run.
+func TestOversizedBodyRefused(t *testing.T) {
+	m := testManager(t, session.Config{})
+	ts := httptest.NewServer(New(m))
+	defer ts.Close()
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	before := runtime.NumGoroutine()
+
+	body, _ := json.Marshal(map[string]any{"sql": "SELECT COUNT(*) FROM lineitem" + strings.Repeat(" ", 2*maxRequestBody)})
+	resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("oversized body created %d session(s)", n)
+	}
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after the request, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

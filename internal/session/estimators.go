@@ -6,53 +6,15 @@ import (
 	"sqlprogress/internal/core"
 )
 
-// EstimatorNames lists the estimator names a session may be configured
-// with, matching the public surface's EstimatorKind values.
-func EstimatorNames() []string {
-	return []string{
-		"dne", "dne-dynamic", "dne-constrained",
-		"pmax", "safe", "lp-safe", "combiner",
-		"trivial", "hybrid-mu", "hybrid-var",
-	}
-}
-
-// estimatorByName instantiates a fresh estimator. Stateful estimators (the
-// hybrids) must never be shared across sessions, so every session gets its
-// own instances.
-func estimatorByName(name string) (core.Estimator, error) {
-	switch name {
-	case "dne":
-		return core.Dne{}, nil
-	case "dne-dynamic":
-		return core.DneDynamic{}, nil
-	case "dne-constrained":
-		return core.ConstrainedDne{}, nil
-	case "pmax":
-		return core.Pmax{}, nil
-	case "safe":
-		return core.Safe{}, nil
-	case "lp-safe":
-		return core.LpSafe{}, nil
-	case "combiner":
-		return &core.Combiner{}, nil
-	case "trivial":
-		return core.Trivial{}, nil
-	case "hybrid-mu":
-		return core.MuSwitch{}, nil
-	case "hybrid-var":
-		return &core.VarSwitch{}, nil
-	default:
-		return nil, fmt.Errorf("session: unknown estimator %q", name)
-	}
-}
-
-// estimatorsByName instantiates one estimator per name.
+// estimatorsByName instantiates one fresh estimator per name. Stateful
+// estimators (the hybrids, the combiner) must never be shared across
+// sessions, so every session gets its own instances.
 func estimatorsByName(names []string) ([]core.Estimator, error) {
 	out := make([]core.Estimator, len(names))
 	for i, n := range names {
-		e, err := estimatorByName(n)
+		e, err := core.NewEstimator(n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("session: %w", err)
 		}
 		out[i] = e
 	}

@@ -52,30 +52,11 @@ const (
 // newEstimator instantiates a fresh estimator (stateful hybrids must not be
 // shared across runs).
 func newEstimator(k EstimatorKind) (core.Estimator, error) {
-	switch k {
-	case Dne:
-		return core.Dne{}, nil
-	case DneDynamic:
-		return core.DneDynamic{}, nil
-	case DneConstrained:
-		return core.ConstrainedDne{}, nil
-	case Pmax:
-		return core.Pmax{}, nil
-	case Safe:
-		return core.Safe{}, nil
-	case LpSafe:
-		return core.LpSafe{}, nil
-	case Combiner:
-		return &core.Combiner{}, nil
-	case Trivial:
-		return core.Trivial{}, nil
-	case HybridMu:
-		return core.MuSwitch{}, nil
-	case HybridVar:
-		return &core.VarSwitch{}, nil
-	default:
-		return nil, fmt.Errorf("sqlprogress: unknown estimator %q", k)
+	e, err := core.NewEstimator(string(k))
+	if err != nil {
+		return nil, fmt.Errorf("sqlprogress: %w", err)
 	}
+	return e, nil
 }
 
 // Result holds a completed query's output.

@@ -74,7 +74,8 @@ func (s *SessionServer) Close() error { return s.mgr.Close() }
 // after a clean ctx-triggered shutdown.
 func (db *DB) Serve(ctx context.Context, addr string, opts ServeOptions) error {
 	ss := db.NewSessionServer(opts)
-	httpSrv := &http.Server{Addr: addr, Handler: ss}
+	httpSrv := &http.Server{Addr: addr, Handler: ss,
+		ReadHeaderTimeout: server.ReadHeaderTimeout, IdleTimeout: server.IdleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {

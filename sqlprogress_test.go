@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqlprogress/internal/core"
 )
 
 func sampleDB(t *testing.T) *DB {
@@ -184,6 +186,35 @@ func TestUnknownEstimator(t *testing.T) {
 	q, _ := db.Query("SELECT id FROM users")
 	if _, err := q.RunWithProgress(ProgressOptions{Estimator: "bogus"}, nil); err == nil {
 		t.Error("unknown estimator should error")
+	}
+}
+
+// TestEstimatorKindsResolve: every EstimatorKind resolves through the core
+// registry to an estimator of that name, stateful estimators are fresh per
+// lookup, and an unknown name is an error.
+func TestEstimatorKindsResolve(t *testing.T) {
+	kinds := []EstimatorKind{Dne, DneDynamic, DneConstrained, Pmax, Safe, LpSafe, Combiner, Trivial, HybridMu, HybridVar}
+	for _, k := range kinds {
+		a, err := newEstimator(k)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if a.Name() != string(k) {
+			t.Fatalf("%s resolved to %q", k, a.Name())
+		}
+		b, _ := newEstimator(k)
+		switch a.(type) {
+		case *core.Combiner, *core.VarSwitch:
+			if a == b {
+				t.Fatalf("%s: two lookups share one stateful estimator", k)
+			}
+		}
+	}
+	if len(kinds) != len(core.RegisteredEstimators()) {
+		t.Fatalf("%d estimator kinds, %d registered estimators", len(kinds), len(core.RegisteredEstimators()))
+	}
+	if _, err := newEstimator("bogus"); err == nil || !strings.HasPrefix(err.Error(), "sqlprogress: ") {
+		t.Fatalf("unknown estimator: got error %v", err)
 	}
 }
 
