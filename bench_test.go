@@ -160,7 +160,53 @@ func TestINLJoinBatchAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorOverhead measures the cost of inline progress monitoring
+// TestMonitorRecordAllocsPerSample holds the recording trigger's cost: a
+// call-count monitor recording its samples over the 20k-row INL plan may
+// allocate at most maxPerSample times per sample (each sample's Estimates
+// slice plus the amortized growth of Samples), plus a slack of 8 for stray
+// runtime allocations. It is measured as the difference between a run
+// sampling every 10 calls and one recording only its at-EOF sample. Before
+// the sampling drivers were folded into one Monitor, this run made 4,013
+// extra allocations over 3,999 extra samples: 1.004 per sample.
+// TestRunWithProgressAllocsPerUpdate guards the delivery path the same way.
+func TestMonitorRecordAllocsPerSample(t *testing.T) {
+	const (
+		rows         = 20_000
+		maxPerSample = 1.004
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The fewest of three runs, so stray allocations elsewhere in the
+	// process do not count against the sampler.
+	measure := func(every int64) (allocs uint64, samples int) {
+		for i := 0; i < 3; i++ {
+			m := core.NewMonitor(synthPlan(rows), every, core.Dne{}, core.Pmax{}, core.Safe{})
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if got := ms.Mallocs - before; i == 0 || got < allocs {
+				allocs = got
+			}
+			samples = len(m.Samples)
+		}
+		return allocs, samples
+	}
+	dense, n := measure(10)
+	sparse, one := measure(1 << 40)
+	if one != 1 || n < 1000 {
+		t.Fatalf("recorded %d dense and %d sparse samples; want at least 1000 and 1", n, one)
+	}
+	extra := float64(dense) - float64(sparse)
+	t.Logf("%d samples: %d allocs sampled, %d unsampled, %.3f per sample", n, dense, sparse, extra/float64(n-one))
+	if extra > maxPerSample*float64(n-one)+8 {
+		t.Fatalf("%.3f allocations per recorded sample, want at most %.3f", extra/float64(n-one), maxPerSample)
+	}
+}
+
+// BenchmarkMonitorOverhead measures the cost of call-count progress monitoring
 // at several sampling periods — the ablation for "how often can we afford
 // to estimate". The per-sample cost is one incremental bounds pass.
 func BenchmarkMonitorOverhead(b *testing.B) {
@@ -180,18 +226,18 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncMonitorOverhead measures executor throughput with the
-// off-thread sampler attached: the execution goroutine pays only the atomic
-// counter updates, so this should sit within noise of the no-monitor
-// baseline regardless of sampling frequency.
-func BenchmarkAsyncMonitorOverhead(b *testing.B) {
+// BenchmarkClockMonitorOverhead measures executor throughput with the
+// wall-clock trigger sampling from its own goroutine: the execution
+// goroutine pays only the atomic counter updates, so this should sit within
+// noise of the no-monitor baseline regardless of sampling frequency.
+func BenchmarkClockMonitorOverhead(b *testing.B) {
 	const n = 20_000
 	for _, interval := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
 		b.Run(fmt.Sprintf("interval=%s", interval), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				op := synthPlan(n)
-				m := core.NewAsyncMonitor(op, interval, core.Dne{}, core.Pmax{}, core.Safe{})
+				m := core.NewClockMonitor(op, interval, core.Dne{}, core.Pmax{}, core.Safe{})
 				b.StartTimer()
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/schema"
@@ -19,52 +21,228 @@ type Sample struct {
 	Estimates []float64 // parallel to Estimators
 }
 
-// SampleSet holds a monitored execution's samples and exposes the series
-// API shared by the inline Monitor and the off-thread AsyncMonitor, so
-// every experiment can run either mode against the same downstream
-// analysis.
-type SampleSet struct {
+// Monitor is the progress sampler: it samples a set of estimators while a
+// plan executes. Each sample is one Tracker capture evaluated by every
+// estimator, then either handed to OnSample or, without one, recorded in
+// Samples. Two triggers drive it:
+//
+//   - call count (NewMonitor): the Hook function samples each time Curr
+//     reaches the next multiple of the period. Installed as
+//     exec.Ctx.OnGetNext it runs on the exact path, at exact GetNext
+//     instants; passed to exec.RunBatchObserved it runs at the batch
+//     engine's root-batch quiesce points, keeping the vectorized fast path.
+//   - wall clock (NewClockMonitor): Start launches a goroutine that samples
+//     once per interval, reading the ledger's atomic counters; the executor
+//     pays only the counter updates it performs anyway.
+//
+// Both obey one rule that keeps sample instants strictly increasing: a
+// trigger at call count c samples only if c has reached the first multiple
+// of the period past the last sample's instant (the clock's period is one
+// call, so it skips instants already sampled). A sample's instant is the
+// Curr its own capture read, which parallel workers may have advanced past
+// c. Finish (or Stop) takes the at-EOF sample, so the series of a completed
+// run ends at progress 1.0.
+//
+// Captures and deliveries are serialized, so the hook may fire concurrently
+// from the worker goroutines of a parallel plan.
+type Monitor struct {
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
-	// Samples are the recorded observations, in capture order.
+	// Samples are the recorded observations, in instant order. A monitor
+	// with OnSample set records nothing.
 	Samples []Sample
+	// OnSample, when non-nil, receives each sample in place of recording
+	// it. It runs on the goroutine that triggered the sample, holding the
+	// monitor's lock: deliveries are serialized and in instant order, and
+	// Tracker().Runtime reads the per-node counters of the sample's own
+	// capture. It must not block for long, since parallel workers whose
+	// trigger is due wait for it. The sample's Estimates slice is reused by
+	// the next sample: copy what must outlive the call. Set before the run
+	// starts.
+	OnSample func(Sample)
 
-	total int64
+	tracker  *Tracker
+	root     exec.Operator
+	every    int64
+	interval time.Duration
+	next     atomic.Int64 // the call count the trigger samples at next
+	mu       sync.Mutex   // serializes captures and deliveries
+	last     int64        // the last sample's instant, -1 before the first
+	est      []float64    // the Estimates of a delivered sample
+	total    int64
+	ctx      *exec.Ctx
+	stop     chan struct{}
+	done     chan struct{}
 }
 
-func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
-	s := tracker.Capture()
+// NewMonitor builds a call-count monitor for the plan rooted at root,
+// sampling every `every` GetNext calls. A period below 1 is derived from
+// the plan's initial bounds to give about 200 samples.
+func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
+	m := &Monitor{Estimators: ests, tracker: NewTracker(root), root: root, last: -1}
+	if every < 1 {
+		// Capture's clamps (LB >= 1, UB >= LB) only touch bounds below 200,
+		// where the period is 1 either way.
+		s := m.tracker.Capture()
+		every = s.UB / 200
+		if every < 1 || s.UB >= exec.Unbounded {
+			every = max(s.LB/200, 1)
+		}
+	}
+	m.every = every
+	m.next.Store(every)
+	return m
+}
+
+// DefaultInterval is the wall-clock sampling period NewClockMonitor uses
+// for a non-positive interval.
+const DefaultInterval = time.Millisecond
+
+// NewClockMonitor builds a wall-clock monitor for the plan rooted at root,
+// sampling once per interval (DefaultInterval when not positive) between
+// Start and Stop.
+func NewClockMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *Monitor {
+	m := NewMonitor(root, 1, ests...)
+	m.interval = interval
+	if interval <= 0 {
+		m.interval = DefaultInterval
+	}
+	return m
+}
+
+// Hook returns the call-count trigger: install it as exec.Ctx.OnGetNext,
+// or pass it to exec.RunBatchObserved to sample at quiesce points.
+func (m *Monitor) Hook() func(calls int64) { return m.trigger }
+
+// trigger is the check every counted call pays; it stays small enough to
+// inline, and only a due trigger takes the lock.
+func (m *Monitor) trigger(calls int64) {
+	if calls >= m.next.Load() {
+		m.due(calls)
+	}
+}
+
+func (m *Monitor) due(calls int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if calls >= m.next.Load() {
+		m.sample(m.tracker.Capture(), calls)
+	}
+}
+
+// sample evaluates the estimators on capture s, taken at trigger count
+// calls, and delivers or records the result. Caller holds m.mu.
+func (m *Monitor) sample(s *State, calls int64) {
 	// Anchor the sample to the ledger total its own capture read, not the
-	// triggering call count: under parallel plans other workers advance the
-	// global counter between the trigger and the capture, and the paper's
-	// per-instant guarantees are stated against the captured Curr. In serial
-	// execution the two are identical.
-	if s.Curr > calls {
-		calls = s.Curr
+	// triggering call count: operators credit their ledger slots before the
+	// global counter, and under parallel plans other workers advance both
+	// between the trigger and the capture. The paper's per-instant
+	// guarantees are stated against the captured Curr. In serial execution
+	// the two are identical.
+	calls = max(calls, s.Curr)
+	m.last = calls
+	m.next.Store(calls - calls%m.every + m.every)
+	est := m.est
+	if m.OnSample == nil || len(est) != len(m.Estimators) {
+		est = make([]float64, len(m.Estimators))
 	}
-	sample := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ss.Estimators))}
-	for i, e := range ss.Estimators {
-		sample.Estimates[i] = e.Estimate(s)
+	for i, e := range m.Estimators {
+		est[i] = e.Estimate(s)
 	}
-	ss.Samples = append(ss.Samples, sample)
-}
-
-// finalSample records the at-completion observation unless the last sample
-// already captured that instant, so series always end at progress 1.0 for
-// completed runs (the periodic hook only fires on multiples of the period
-// and usually misses the final call).
-func (ss *SampleSet) finalSample(tracker *Tracker, calls int64) {
-	if n := len(ss.Samples); n > 0 && ss.Samples[n-1].Calls == calls {
+	smp := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: est}
+	if m.OnSample != nil {
+		m.est = est
+		m.OnSample(smp)
 		return
 	}
-	ss.capture(tracker, calls)
+	m.Samples = append(m.Samples, smp)
 }
 
-// SetTotal records total(Q) when the plan was executed outside Run.
-func (ss *SampleSet) SetTotal(total int64) { ss.total = total }
+// Finish records total(Q) and takes the at-completion sample: the closing
+// capture always runs, so Tracker().Runtime reads the drained plan's
+// counters afterwards, but it becomes a sample only if the last sample does
+// not already hold its instant (the triggers rarely fire on the final
+// call). Run and Stop call it; callers installing Hook themselves call it
+// once the plan is drained.
+func (m *Monitor) Finish(total int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.total = total
+	if s := m.tracker.Capture(); max(total, s.Curr) > m.last {
+		m.sample(s, total)
+	}
+}
 
-// Total returns total(Q) (valid after the run completes).
-func (ss *SampleSet) Total() int64 { return ss.total }
+// Start launches the wall-clock trigger against the context the plan is
+// (or will be) executing under. Call it at most once, on a monitor built by
+// NewClockMonitor, and pair it with Stop.
+func (m *Monitor) Start(ctx *exec.Ctx) {
+	m.ctx = ctx
+	m.stop = make(chan struct{})
+	m.done = make(chan struct{})
+	go func() {
+		defer close(m.done)
+		tick := time.NewTicker(m.interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-m.stop:
+				return
+			case <-tick.C:
+				m.trigger(ctx.Calls())
+			}
+		}
+	}()
+}
+
+// Stop halts the wall-clock trigger, waits for its goroutine to exit and
+// finishes at the current instant (see Finish). After Stop returns, Samples
+// is safe to read; if the plan ran to completion, the last sample is the
+// at-EOF observation. Stop without Start does nothing.
+func (m *Monitor) Stop() {
+	if m.stop == nil {
+		return
+	}
+	close(m.stop)
+	<-m.done
+	m.stop = nil
+	m.Finish(m.ctx.Calls())
+}
+
+// Run executes the plan to completion under this monitor and returns the
+// root's output rows. A call-count monitor runs the row engine with its
+// hook installed; a wall-clock monitor samples from its goroutine, so the
+// run takes the batch engine's vectorized fast path, and on error its
+// partial samples remain readable.
+func (m *Monitor) Run() ([]schema.Row, error) {
+	ctx := exec.NewCtx()
+	if m.interval > 0 {
+		m.Start(ctx)
+		rows, err := exec.RunBatch(ctx, m.root)
+		m.Stop()
+		if err != nil {
+			return nil, err
+		}
+		return rows, nil
+	}
+	ctx.OnGetNext = m.Hook()
+	rows, err := exec.Run(ctx, m.root)
+	if err != nil {
+		return nil, err
+	}
+	m.Finish(ctx.Calls())
+	return rows, nil
+}
+
+// Tracker returns the monitor's tracker. During OnSample, and after Finish,
+// its Runtime reads the per-node counters of the latest capture.
+func (m *Monitor) Tracker() *Tracker { return m.tracker }
+
+// Total returns total(Q) (valid after Finish).
+func (m *Monitor) Total() int64 { return m.total }
+
+// Mu returns the paper's mu for the completed execution.
+func (m *Monitor) Mu() float64 { return Mu(m.root) }
 
 // Point pairs the true progress at a sample with an estimate.
 type Point struct {
@@ -73,25 +251,20 @@ type Point struct {
 
 // Series returns (actual, estimate) points for the named estimator; valid
 // after the run completes.
-func (ss *SampleSet) Series(name string) ([]Point, error) {
-	idx := -1
-	for i, e := range ss.Estimators {
+func (m *Monitor) Series(name string) ([]Point, error) {
+	for i, e := range m.Estimators {
 		if e.Name() == name {
-			idx = i
-			break
+			return m.SeriesAt(i), nil
 		}
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("monitor: no estimator %q", name)
-	}
-	return ss.SeriesAt(idx), nil
+	return nil, fmt.Errorf("monitor: no estimator %q", name)
 }
 
 // SeriesAt returns the points for estimator index i.
-func (ss *SampleSet) SeriesAt(i int) []Point {
-	out := make([]Point, len(ss.Samples))
-	for j, s := range ss.Samples {
-		out[j] = Point{Actual: float64(s.Calls) / float64(ss.total), Est: s.Estimates[i]}
+func (m *Monitor) SeriesAt(i int) []Point {
+	out := make([]Point, len(m.Samples))
+	for j, s := range m.Samples {
+		out[j] = Point{Actual: float64(s.Calls) / float64(m.total), Est: s.Estimates[i]}
 	}
 	return out
 }
@@ -103,105 +276,19 @@ type BoundsPoint struct {
 }
 
 // IntervalSeries returns the hard progress interval per sample.
-func (ss *SampleSet) IntervalSeries() []BoundsPoint {
-	out := make([]BoundsPoint, len(ss.Samples))
-	for j, s := range ss.Samples {
+func (m *Monitor) IntervalSeries() []BoundsPoint {
+	out := make([]BoundsPoint, len(m.Samples))
+	for j, s := range m.Samples {
 		lo := float64(s.Calls) / float64(s.UB)
 		hi := float64(s.Calls) / float64(s.LB)
 		if hi > 1 {
 			hi = 1
 		}
 		out[j] = BoundsPoint{
-			Actual: float64(s.Calls) / float64(ss.total),
+			Actual: float64(s.Calls) / float64(m.total),
 			Lo:     lo,
 			Hi:     hi,
 		}
 	}
 	return out
 }
-
-// Monitor samples a set of estimators while a plan executes, inline on the
-// execution goroutine. Attach its Hook to the execution context (or use
-// Run), then read Series / errors after completion. For sampling that does
-// not run on the execution path, see AsyncMonitor.
-type Monitor struct {
-	SampleSet
-
-	// Every is the sampling period in GetNext calls.
-	Every int64
-
-	tracker *Tracker
-	root    exec.Operator
-}
-
-// NewMonitor builds a monitor for the plan rooted at root, sampling every
-// `every` GetNext calls (minimum 1).
-func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
-	if every < 1 {
-		every = 1
-	}
-	return &Monitor{
-		SampleSet: SampleSet{Estimators: ests},
-		Every:     every,
-		tracker:   NewTracker(root),
-		root:      root,
-	}
-}
-
-// Hook returns the callback to install as exec.Ctx.OnGetNext. Under
-// parallel (exchange-based) plans the hook fires concurrently from several
-// worker goroutines; a mutex serializes captures (Tracker.Capture is not
-// reentrant) and stale firings — a worker whose trigger count was already
-// overtaken by a recorded sample — are skipped so Samples stays ordered by
-// Calls.
-func (m *Monitor) Hook() func(int64) {
-	var mu sync.Mutex
-	var last int64
-	return func(calls int64) {
-		if calls%m.Every != 0 {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if calls <= last {
-			return
-		}
-		last = calls
-		m.capture(m.tracker, calls)
-	}
-}
-
-// Observe captures a sample at an externally chosen instant. It is the
-// quiesce-point alternative to Hook for the batch engine: installing
-// OnGetNext would collapse vectorized execution to row-at-a-time (the fast
-// path requires no per-call hook), so batch callers instead run under
-// exec.RunBatchObserved and call Observe with the delivered-call count after
-// each root batch. Captures are serialized by the callers' own quiesce
-// points; Observe itself is not safe for concurrent use.
-func (m *Monitor) Observe(calls int64) {
-	m.capture(m.tracker, calls)
-}
-
-// Finish records the at-completion sample (unless the hook already sampled
-// that instant) and total(Q). Run calls it automatically; install-the-hook
-// callers invoke it once the plan is drained.
-func (m *Monitor) Finish(total int64) {
-	m.SetTotal(total)
-	m.finalSample(m.tracker, total)
-}
-
-// Run executes the plan to completion under this monitor and returns the
-// root's output rows.
-func (m *Monitor) Run() ([]schema.Row, error) {
-	ctx := exec.NewCtx()
-	ctx.OnGetNext = m.Hook()
-	rows, err := exec.Run(ctx, m.root)
-	if err != nil {
-		return nil, err
-	}
-	m.Finish(ctx.Calls())
-	return rows, nil
-}
-
-// Mu returns the paper's mu for the completed execution.
-func (m *Monitor) Mu() float64 { return Mu(m.root) }

@@ -5,15 +5,16 @@ import (
 	"time"
 
 	"sqlprogress/internal/exec"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/tpch"
 )
 
-// checkAsyncSamples asserts the invariants every concurrently-captured
-// series must satisfy: Calls strictly increasing, every sample's hard bounds
-// straddle total(Q) (the soundness claim for sampling against live atomic
-// counters), every estimate within [0, 1], LB never decreasing and UB never
-// increasing, and the series ending with the at-EOF sample.
-func checkAsyncSamples(t *testing.T, label string, m *AsyncMonitor) {
+// checkSamples asserts the invariants every recorded series must satisfy,
+// whichever trigger took it: Calls strictly increasing, every sample's hard
+// bounds straddle total(Q) (the soundness claim for sampling against live
+// atomic counters), every estimate within [0, 1], LB never decreasing and UB
+// never increasing, and the series ending with the at-EOF sample.
+func checkSamples(t *testing.T, label string, m *Monitor) {
 	t.Helper()
 	total := m.Total()
 	if total <= 0 {
@@ -58,36 +59,33 @@ func checkAsyncSamples(t *testing.T, label string, m *AsyncMonitor) {
 }
 
 // TestAsyncMonitorSamplesRunningTPCHPlan is the acceptance test for the
-// off-thread sampler: an AsyncMonitor concurrently samples a running TPC-H
-// plan (run under -race in CI). Q21 exercises the worst of the plan zoo —
-// semi/anti joins and rescans — while the sampler races the executor.
+// off-thread trigger: a wall-clock Monitor concurrently samples a running
+// TPC-H plan (run under -race in CI). Q21 exercises the worst of the plan
+// zoo — semi/anti joins and rescans — while the sampler races the executor.
+// The same plan sampled by the call-count trigger at the batch engine's
+// quiesce points must satisfy the same checks.
 func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
 	op, err := tpch.BuildQuery(cat, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewAsyncMonitor(op, 50*time.Microsecond, Dne{}, Pmax{}, Safe{})
+	m := NewClockMonitor(op, 50*time.Microsecond, Dne{}, Pmax{}, Safe{})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	checkAsyncSamples(t, "tpch-q21", m)
-}
+	checkSamples(t, "tpch-q21", m)
 
-// TestAsyncMonitorCallCountMode exercises the call-count sampling
-// discipline: the sampler polls the atomic global counter and fires on
-// threshold crossings, giving series comparable to the inline Monitor's.
-func TestAsyncMonitorCallCountMode(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	op, err := tpch.BuildQuery(cat, 1)
-	if err != nil {
+	if op, err = tpch.BuildQuery(cat, 21); err != nil {
 		t.Fatal(err)
 	}
-	m := NewAsyncMonitorCalls(op, 500, Dne{}, Pmax{}, Safe{})
-	if _, err := m.Run(); err != nil {
+	m = NewMonitor(op, 500, Dne{}, Pmax{}, Safe{})
+	ctx := exec.NewCtx()
+	if _, err := exec.RunBatchObserved(ctx, op, m.Hook()); err != nil {
 		t.Fatal(err)
 	}
-	checkAsyncSamples(t, "tpch-q1-calls", m)
+	m.Finish(ctx.Calls())
+	checkSamples(t, "tpch-q21-quiesce", m)
 }
 
 // TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
@@ -97,14 +95,14 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 	r1 := intRel("r1", "a", seq(50))
 	r2 := intRel("r2", "b", seq(50))
 	j, _ := example1Plan(r1, r2, nil, nil, false)
-	m := NewAsyncMonitor(j, time.Hour, Dne{}, Safe{})
+	m := NewClockMonitor(j, time.Hour, Dne{}, Safe{})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Samples) != 1 {
 		t.Fatalf("samples = %d, want exactly the final one", len(m.Samples))
 	}
-	checkAsyncSamples(t, "final-only", m)
+	checkSamples(t, "final-only", m)
 	pts, err := m.Series("safe")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +115,7 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 // TestAsyncMonitorStopWithoutStart: Stop before Start must be a no-op.
 func TestAsyncMonitorStopWithoutStart(t *testing.T) {
 	r := intRel("r", "a", seq(5))
-	m := NewAsyncMonitor(exec.NewScan(r), 0, Dne{})
+	m := NewClockMonitor(exec.NewScan(r), 0, Dne{})
 	m.Stop()
 	if len(m.Samples) != 0 {
 		t.Fatalf("samples = %d, want 0", len(m.Samples))
@@ -173,32 +171,38 @@ func TestMonitorFinalSampleNotDuplicated(t *testing.T) {
 	}
 }
 
-// TestAsyncMonitorOnSample: the streaming hook must see every recorded
-// sample, in order, including the final at-EOF one — it is what lets a
-// serving layer fan live estimates out to clients while the query runs.
+// TestAsyncMonitorOnSample: a delivering monitor must hand OnSample every
+// sample, in order, including the final at-EOF one, with the tracker still
+// holding that sample's capture — it is what lets a serving layer fan live
+// estimates and per-node counters out to clients while the query runs.
+// Delivery replaces recording.
 func TestAsyncMonitorOnSample(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
 	op, err := tpch.BuildQuery(cat, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewAsyncMonitor(op, 50*time.Microsecond, Dne{}, Pmax{}, Safe{})
+	m := NewClockMonitor(op, 50*time.Microsecond, Dne{}, Pmax{}, Safe{})
+	shape := m.Tracker().Shape()
 	var streamed []Sample
-	m.OnSample = func(s Sample) { streamed = append(streamed, s) }
+	m.OnSample = func(s Sample) {
+		var sum int64
+		for i := 0; i < shape.Len(); i++ {
+			sum += m.Tracker().Runtime(ledger.NodeID(i)).Returned
+		}
+		if sum != s.Calls {
+			t.Errorf("sample at %d calls: its capture's node counters sum to %d", s.Calls, sum)
+		}
+		s.Estimates = append([]float64(nil), s.Estimates...)
+		streamed = append(streamed, s)
+	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Stop has returned: the sampler goroutine is joined, streamed is ours.
-	if len(streamed) != len(m.Samples) {
-		t.Fatalf("streamed %d samples, recorded %d", len(streamed), len(m.Samples))
+	if len(m.Samples) != 0 {
+		t.Fatalf("a delivering monitor recorded %d samples", len(m.Samples))
 	}
-	for i := range streamed {
-		if streamed[i].Calls != m.Samples[i].Calls {
-			t.Fatalf("sample %d: streamed calls %d != recorded %d", i, streamed[i].Calls, m.Samples[i].Calls)
-		}
-	}
-	last := streamed[len(streamed)-1]
-	if last.Calls != m.Total() {
-		t.Fatalf("last streamed sample at %d calls, total %d", last.Calls, m.Total())
-	}
+	m.Samples = streamed
+	checkSamples(t, "tpch-q1-streamed", m)
 }

@@ -109,8 +109,8 @@ func (s *State) MuRunning() float64 {
 // records the counters with its bounds; every counter the State carries
 // comes from that record, so one capture reads the ledger once. Captures
 // read ledger counters atomically and may therefore run on a goroutine
-// other than the executing ones (AsyncMonitor does); Capture itself is not
-// reentrant.
+// other than the executing ones (Monitor's wall-clock trigger does); Capture
+// itself is not reentrant.
 type Tracker struct {
 	shape    *PlanShape
 	led      *ledger.Ledger

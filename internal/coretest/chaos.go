@@ -45,7 +45,7 @@ func cleanTotal(entry CorpusEntry) (int64, error) {
 }
 
 // chaosProfile is the schedule shape RunChaos draws from: a handful of
-// short stalls (enough to shear the async sampler against the executor
+// short stalls (enough to shear the wall-clock sampler against the executor
 // without slowing the suite), and a terminal fault — injected operator
 // error or exact-call cancellation — on ~40% of schedules.
 func chaosProfile(horizon int64) fault.Profile {
@@ -97,8 +97,8 @@ func runChaos(seed int64, batch bool) error {
 }
 
 // RunChaosSchedule executes entry under the given fault schedule with two
-// monitors attached — the inline Monitor sampling every call on the
-// execution goroutine, and an AsyncMonitor racing it from a sampler
+// monitors attached — one sampling every call through its hook on the
+// execution goroutine, and a wall-clock one racing it from its sampler
 // goroutine — then cross-validates the outcome against the faults that
 // actually fired and checks both sample series against the paper's
 // guarantees.
@@ -120,15 +120,15 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
 	ctx.OnGetNext = mon.Hook()
-	async := core.NewAsyncMonitorCalls(root, 64, chaosEstimators()...)
-	async.Start(ctx)
+	clock := core.NewClockMonitor(root, 100*time.Microsecond, chaosEstimators()...)
+	clock.Start(ctx)
 	var runErr error
 	if batch {
 		_, runErr = exec.RunBatch(ctx, root)
 	} else {
 		_, runErr = exec.Run(ctx, root)
 	}
-	async.Stop()
+	clock.Stop()
 	total := ctx.Calls()
 
 	// Cross-validate the outcome against the fired faults: a scheduled
@@ -221,7 +221,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 	for _, src := range []struct {
 		name    string
 		samples []core.Sample
-	}{{"inline", mon.Samples}, {"async", async.Samples}} {
+	}{{"inline", mon.Samples}, {"clock", clock.Samples}} {
 		s := Series{
 			Label:     entry.Label + "/" + src.name,
 			Names:     chaosNames,

@@ -1,7 +1,6 @@
 package coretest
 
 import (
-	"sync"
 	"testing"
 
 	"sqlprogress/internal/core"
@@ -28,10 +27,10 @@ func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every
 }
 
 // CheckParallelInvariants is CheckProgressInvariants for plans containing a
-// parallel operator: GetNext calls fire concurrently from worker goroutines, so
-// sampling is serialized behind a mutex and each sample anchors to the
-// ledger total its own capture read (the paper's Curr) rather than the
-// triggering worker's call count. The evaluator-vs-full-walk equivalence is
+// parallel operator: GetNext calls fire concurrently from worker goroutines,
+// which the monitor's hook serializes, anchoring each sample to the ledger
+// total its own capture read (the paper's Curr) rather than the triggering
+// worker's call count. The evaluator-vs-full-walk equivalence is
 // asserted only at quiescence — mid-run the two passes read live counters at
 // different instants, so element-wise equality is not defined for them.
 // Every per-instant guarantee (hard bounds, monotonicity, pmax, safe) is
@@ -46,7 +45,6 @@ func checkInvariants(t testing.TB, label string, op exec.Operator, every int64, 
 	if every < 1 {
 		every = 1
 	}
-	tracker := core.NewTracker(op)
 	equiv := newEquivChecker(op)
 	type snap struct {
 		calls  int64
@@ -58,33 +56,20 @@ func checkInvariants(t testing.TB, label string, op exec.Operator, every int64, 
 		bound  float64
 	}
 	var snaps []snap
-	var mu sync.Mutex
-	var last int64
-	ctx := exec.NewCtx()
-	ctx.OnGetNext = func(calls int64) {
-		if calls%every != 0 {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if calls <= last && parallel {
-			// Another worker's sample already covered this instant.
-			return
-		}
-		last = calls
+	m := core.NewMonitor(op, every, core.Pmax{}, core.Safe{}, core.Dne{}, core.DneDynamic{})
+	m.OnSample = func(s core.Sample) {
 		if !parallel {
-			equiv.check(t, label, calls)
+			equiv.check(t, label, s.Calls)
 		}
-		s := tracker.Capture()
 		snaps = append(snaps, snap{
-			calls: s.Curr, lb: s.LB, ub: s.UB,
-			pmax:  (core.Pmax{}).Estimate(s),
-			safe:  (core.Safe{}).Estimate(s),
-			dne:   (core.Dne{}).Estimate(s),
-			dyn:   (core.DneDynamic{}).Estimate(s),
-			bound: core.SafeErrorBound(s),
+			calls: s.Calls, lb: s.LB, ub: s.UB,
+			pmax: s.Estimates[0], safe: s.Estimates[1],
+			dne: s.Estimates[2], dyn: s.Estimates[3],
+			bound: core.SafeErrorBound(&core.State{LB: s.LB, UB: s.UB}),
 		})
 	}
+	ctx := exec.NewCtx()
+	ctx.OnGetNext = m.Hook()
 	if _, err := exec.Run(ctx, op); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -9,10 +9,10 @@ import (
 
 // Series is a recorded progress series plus the run facts needed to judge
 // it. Unlike CheckProgressInvariants (which drives the execution itself and
-// reports through testing.TB), Series checks samples recorded by any
-// monitor — inline or async, complete or killed mid-run — and returns the
-// first violation as an error, so the chaos harness can embed the replay
-// seed in the message.
+// reports through testing.TB), Series checks samples recorded by either
+// monitor trigger — call count or wall clock, complete or killed mid-run —
+// and returns the first violation as an error, so the chaos harness can
+// embed the replay seed in the message.
 type Series struct {
 	Label string
 	// Names are the estimator names, parallel to each sample's Estimates.

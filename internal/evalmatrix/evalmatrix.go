@@ -238,18 +238,13 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 			return nil, err
 		}
 	case "batch":
-		// Installing the monitor's hook would collapse the batch fast path
-		// to row-at-a-time; instead sample at quiesce points — after each
-		// root batch, whenever the call count crosses the next period.
+		// Installing the monitor's hook as OnGetNext would collapse the
+		// batch fast path to row-at-a-time; instead it observes quiesce
+		// points — after each root batch, sampling whenever the call count
+		// crossed the next period.
 		ctx := exec.NewCtx()
 		ctx.BatchSize = opts.BatchSize
-		next := every
-		if _, err := exec.RunBatchObserved(ctx, root, func(curr int64) {
-			if curr >= next {
-				m.Observe(curr)
-				next = curr - curr%every + every
-			}
-		}); err != nil {
+		if _, err := exec.RunBatchObserved(ctx, root, m.Hook()); err != nil {
 			return nil, err
 		}
 		m.Finish(ctx.Calls())

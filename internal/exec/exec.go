@@ -33,8 +33,8 @@ var ErrCanceled = errors.New("exec: query canceled")
 // observation hook used by progress estimators to sample the execution.
 //
 // The call counter is updated atomically, so a monitoring goroutine may read
-// Calls while the plan runs on another goroutine (see AsyncMonitor in
-// internal/core).
+// Calls while the plan runs on another goroutine (see the wall-clock trigger
+// of core.Monitor).
 type Ctx struct {
 	// calls is the total number of GetNext calls performed so far across all
 	// operators (the paper's Curr).

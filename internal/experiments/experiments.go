@@ -31,12 +31,6 @@ type Options struct {
 	Samples int64
 	// Seed drives all generation.
 	Seed int64
-	// Async switches series collection to the off-thread AsyncMonitor in
-	// call-count mode (sampling the executor's atomic counters from a
-	// separate goroutine) instead of the inline Monitor. Series keep the
-	// same shape; sample instants become scheduling-dependent, so the
-	// deterministic inline mode stays the default for paper-shape tests.
-	Async bool
 }
 
 // Defaults returns the standard experiment scale.
@@ -177,30 +171,12 @@ func sampleEvery(estTotal int64, opts Options) int64 {
 	return e
 }
 
-// seriesMonitor is the surface the experiments need from either monitoring
-// mode: the per-estimator series plus the plan's mu.
-type seriesMonitor interface {
-	SeriesAt(i int) []core.Point
-	Mu() float64
-}
-
-// runSeries executes the plan under a monitor — inline by default,
-// off-thread when opts.Async is set — and returns per-estimator series
-// keyed by estimator name.
-func runSeries(opts Options, root exec.Operator, every int64, ests ...core.Estimator) (map[string][]core.Point, seriesMonitor, error) {
-	var m seriesMonitor
-	if opts.Async {
-		am := core.NewAsyncMonitorCalls(root, every, ests...)
-		if _, err := am.Run(); err != nil {
-			return nil, nil, err
-		}
-		m = am
-	} else {
-		im := core.NewMonitor(root, every, ests...)
-		if _, err := im.Run(); err != nil {
-			return nil, nil, err
-		}
-		m = im
+// runSeries executes the plan under a call-count monitor and returns
+// per-estimator series keyed by estimator name.
+func runSeries(root exec.Operator, every int64, ests ...core.Estimator) (map[string][]core.Point, *core.Monitor, error) {
+	m := core.NewMonitor(root, every, ests...)
+	if _, err := m.Run(); err != nil {
+		return nil, nil, err
 	}
 	out := make(map[string][]core.Point, len(ests))
 	for i, e := range ests {

@@ -348,35 +348,3 @@ func TestThm3RandomOrderUnbiased(t *testing.T) {
 		t.Errorf("zipf |err| should collapse near completion: mid %g, final %g", mid, last)
 	}
 }
-
-// TestAsyncModeProducesCompleteSeries reruns a figure experiment with
-// Options.Async: series are collected by the off-thread sampler, so the
-// sample instants are scheduling-dependent and only the shape is asserted —
-// a non-empty series with non-decreasing actual progress ending exactly at
-// 1.0 (the guaranteed at-EOF sample), estimates within [0, 1].
-func TestAsyncModeProducesCompleteSeries(t *testing.T) {
-	e, ok := ByID("fig3")
-	if !ok {
-		t.Fatal("no fig3")
-	}
-	o := Fast()
-	o.Async = true
-	r := e.Run(o)
-	if len(r.Rows) == 0 {
-		t.Fatal("async run produced no samples")
-	}
-	prev := 0.0
-	for _, row := range r.Rows {
-		actual, est := parseF(t, row[0]), parseF(t, row[1])
-		if actual < prev {
-			t.Fatalf("actual progress regressed: %.3f after %.3f", actual, prev)
-		}
-		prev = actual
-		if est < 0 || est > 1 {
-			t.Fatalf("estimate %.3f out of [0,1]", est)
-		}
-	}
-	if prev != 1 {
-		t.Fatalf("series ends at actual=%.3f, want the at-EOF sample at 1.0", prev)
-	}
-}

@@ -24,7 +24,7 @@ func Fig3(opts Options) Result {
 		panic(err)
 	}
 	est := 2 * cat.Cardinality("lineitem")
-	series, m, err := runSeries(opts, op, sampleEvery(est, opts), core.Dne{})
+	series, m, err := runSeries(op, sampleEvery(est, opts), core.Dne{})
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +51,7 @@ func Fig3(opts Options) Result {
 // substantially underestimates while pmax stays within mu of the truth.
 func Fig4(opts Options) Result {
 	j, total := synthINL(opts, datagen.OrderSkewFirst)
-	series, m, err := runSeries(opts, j, sampleEvery(total, opts), core.Dne{}, core.Pmax{})
+	series, m, err := runSeries(j, sampleEvery(total, opts), core.Dne{}, core.Pmax{})
 	if err != nil {
 		panic(err)
 	}
@@ -80,7 +80,7 @@ func Fig4(opts Options) Result {
 // possibility and stays closer.
 func Fig5(opts Options) Result {
 	j, total := synthINL(opts, datagen.OrderSkewLast)
-	series, _, err := runSeries(opts, j, sampleEvery(total, opts), core.Dne{}, core.Safe{})
+	series, _, err := runSeries(j, sampleEvery(total, opts), core.Dne{}, core.Safe{})
 	if err != nil {
 		panic(err)
 	}
@@ -108,12 +108,12 @@ func Tab1(opts Options) Result {
 		return []core.Estimator{core.Dne{}, core.Pmax{}, core.Safe{}}
 	}
 	inl, totalINL := synthINL(opts, datagen.OrderSkewLast)
-	inlSeries, _, err := runSeries(opts, inl, sampleEvery(totalINL, opts), ests()...)
+	inlSeries, _, err := runSeries(inl, sampleEvery(totalINL, opts), ests()...)
 	if err != nil {
 		panic(err)
 	}
 	hash, totalHash := synthHash(opts, datagen.OrderSkewLast)
-	hashSeries, _, err := runSeries(opts, hash, sampleEvery(totalHash, opts), ests()...)
+	hashSeries, _, err := runSeries(hash, sampleEvery(totalHash, opts), ests()...)
 	if err != nil {
 		panic(err)
 	}
@@ -159,7 +159,7 @@ func Fig6(opts Options) Result {
 		panic(err)
 	}
 	est := 6 * cat.Cardinality("lineitem")
-	series, m, err := runSeries(opts, op, sampleEvery(est, opts), core.Pmax{})
+	series, m, err := runSeries(op, sampleEvery(est, opts), core.Pmax{})
 	if err != nil {
 		panic(err)
 	}
@@ -193,7 +193,7 @@ func Fig6(opts Options) Result {
 // exact — and worst-case-optimal safe is the one left with a visible error.
 func Fig7(opts Options) Result {
 	j, total := synthINLFiltered(opts, datagen.OrderSkewLast)
-	series, _, err := runSeries(opts, j, sampleEvery(total, opts), core.Dne{}, core.Safe{})
+	series, _, err := runSeries(j, sampleEvery(total, opts), core.Dne{}, core.Safe{})
 	if err != nil {
 		panic(err)
 	}

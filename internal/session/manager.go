@@ -35,8 +35,8 @@ type Config struct {
 	// MaxQueue bounds sessions waiting for a run slot; admission sheds
 	// (ErrShed) beyond it (default 64).
 	MaxQueue int
-	// SampleInterval is each session's AsyncMonitor wall-clock sampling
-	// period (default 2ms).
+	// SampleInterval is each session's wall-clock sampling period (default
+	// 2ms).
 	SampleInterval time.Duration
 	// DefaultDeadline caps each session's execution time unless the submit
 	// overrides it (0 = no deadline).
@@ -277,13 +277,9 @@ func (m *Manager) execute(s *Session) {
 	execCtx := exec.NewCtx()
 	s.execCtx = execCtx
 	ests, _ := estimatorsByName(s.estNames) // validated at admission
-	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, ests...)
+	mon := core.NewClockMonitor(s.root, m.cfg.SampleInterval, ests...)
 	mon.OnSample = s.onSample
 	s.mon = mon
-	// Bind the plan's shape and ledger for the per-node delta stream; the
-	// monitor's tracker already ensured the same binding, so this is a
-	// cheap idempotent lookup on a still-quiescent plan.
-	s.shape, s.led = core.ShapeOf(s.root)
 	deadline := s.deadline
 	root := s.root
 	instrument := s.instrument
@@ -303,13 +299,13 @@ func (m *Manager) execute(s *Session) {
 	}
 	release := execCtx.Bind(stdctx)
 	mon.Start(execCtx)
-	// Batch-at-a-time execution: the async monitor samples the ledger from
-	// its own goroutine, so hook-free sessions take the vectorized fast
+	// Batch-at-a-time execution: the monitor samples the ledger from its
+	// own goroutine, so hook-free sessions take the vectorized fast
 	// path; an instrument that installs Inject/OnGetNext automatically
 	// forces the exact row-sequence path.
 	rows, err := exec.RunBatch(execCtx, root)
 	bindErr := release()
-	mon.Stop() // joins the sampler; Samples are stable from here on
+	mon.Stop() // joins the sampler; s.samples is stable from here on
 
 	s.mu.Lock()
 	m.finishLocked(s, rows, err, bindErr, execCtx.Calls())
@@ -358,10 +354,11 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 		m.c.failed.Add(1)
 	}
 	// Final event: from the monitor's at-stop sample when the session ran,
-	// zero-valued otherwise (canceled while queued).
+	// with the node counters of its closing capture; zero-valued otherwise
+	// (canceled while queued).
 	var final Progress
-	if s.mon != nil && len(s.mon.Samples) > 0 {
-		final = s.progressLocked(s.mon.Samples[len(s.mon.Samples)-1], true)
+	if n := len(s.samples); s.mon != nil && n > 0 {
+		final = s.progressLocked(s.samples[n-1], true)
 	} else {
 		final = Progress{Final: true, State: s.state}
 	}
@@ -370,13 +367,9 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 	// Release the plan. A finished session is remembered for its Info, its
 	// final event, its kept rows and its samples; the operator tree, the
 	// execution context, the monitor (its tracker and estimators) and the
-	// per-node scratch would otherwise stay reachable, with every batch
+	// per-node state would otherwise stay reachable, with every batch
 	// buffer and arena slab they hold, for as long as the session is.
-	if s.mon != nil {
-		s.samples = s.mon.Samples
-	}
-	s.root, s.execCtx, s.mon = nil, nil, nil
-	s.shape, s.led, s.nodeScratch, s.nodePrev = nil, nil, nil, nil
+	s.root, s.execCtx, s.mon, s.nodePrev = nil, nil, nil, nil
 }
 
 // keepRows copies the first n rows into one exact-size value block. A

@@ -376,3 +376,52 @@ func TestFinishedSessionRetainsOnlyKeptRows(t *testing.T) {
 		t.Fatalf("retained len %d cap %d, want len %d and cap at most %d", n, c, keep, keep)
 	}
 }
+
+// TestNodeCountersMatchEventInstant checks that an event's node counters
+// and its Calls describe the same instant: on every event that lists every
+// plan node, the nodes' counted calls sum to exactly the event's Curr.
+// Node counters read after the capture would run ahead of it.
+func TestNodeCountersMatchEventInstant(t *testing.T) {
+	cat := testCatalog(t)
+	m := New(cat, Config{SampleInterval: 100 * time.Microsecond})
+	defer m.Close()
+	root := slowPlan(cat)
+	nodes := 0
+	exec.Walk(root, func(exec.Operator) { nodes++ })
+	s, err := m.SubmitPlan(root, "slow", SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, unsub := s.Subscribe()
+	defer unsub()
+	full, seen := 0, 0
+	check := func(p Progress) {
+		seen++
+		if len(p.Nodes) != nodes {
+			return
+		}
+		full++
+		var sum int64
+		for _, n := range p.Nodes {
+			sum += n.Calls
+		}
+		if sum != p.Calls {
+			t.Errorf("event %d (final %v): node calls sum to %d, event Calls is %d", p.Seq, p.Final, sum, p.Calls)
+		}
+	}
+	for p := range ch {
+		check(p)
+		if seen == 40 {
+			if _, err := m.Cancel(s.ID(), "test"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := waitTerminal(t, s); st != StateCanceled {
+		t.Fatalf("state = %s, err = %v", st, s.Err())
+	}
+	if full < 2 {
+		t.Fatalf("only %d of %d events listed every node", full, seen)
+	}
+	t.Logf("%d of %d events listed all %d nodes", full, seen, nodes)
+}

@@ -22,15 +22,6 @@ func terminalFieldsReleased(s *Session) []string {
 	if s.mon != nil {
 		held = append(held, "mon")
 	}
-	if s.shape != nil {
-		held = append(held, "shape")
-	}
-	if s.led != nil {
-		held = append(held, "led")
-	}
-	if s.nodeScratch != nil {
-		held = append(held, "nodeScratch")
-	}
 	if s.nodePrev != nil {
 		held = append(held, "nodePrev")
 	}

@@ -1,7 +1,7 @@
 // Package session runs queries as managed sessions: a Manager admits work
 // under a concurrency limit (FIFO queue with a depth cap, shedding when
-// full), executes each admitted query on its own goroutine with an
-// off-thread core.AsyncMonitor attached, and keeps a registry of live and
+// full), executes each admitted query on its own goroutine with a
+// wall-clock core.Monitor attached, and keeps a registry of live and
 // finished sessions for inspection, streaming, and cancellation.
 //
 // This is the serving layer the paper's motivating scenario implies: many
@@ -12,6 +12,7 @@
 package session
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +63,12 @@ type Progress struct {
 	// Nodes is the ledger-delta stream: the per-node cumulative runtime
 	// counters of every plan node whose counters changed since this
 	// session's previous published event (every node on the first and final
-	// events). Node ids are the plan's stable dense NodeIDs.
+	// events), read by the same capture as Calls, LB and UB, so on an event
+	// that lists every node the Calls sum to Calls. Node ids are the plan's
+	// stable dense NodeIDs. Deltas are taken against the previous published
+	// event, not the previous event a subscriber received: one that lost an
+	// intermediate event to a full buffer may hold stale counters for an
+	// unchanged node until the final event, which lists every node.
 	Nodes []NodeProgress `json:"nodes,omitempty"`
 	// Pool is a snapshot of the shared buffer-pool counters at the
 	// observation, present when the manager serves disk-backed tables
@@ -109,7 +115,7 @@ type Session struct {
 	state        State
 	root         exec.Operator
 	execCtx      *exec.Ctx
-	mon          *core.AsyncMonitor
+	mon          *core.Monitor
 	samples      []core.Sample
 	estNames     []string
 	keepRows     int
@@ -133,9 +139,6 @@ type Session struct {
 	instrument   func(*exec.Ctx)
 	onEvict      func()
 	pool         *pager.Pool
-	shape        *core.PlanShape
-	led          *ledger.Ledger
-	nodeScratch  []ledger.Snapshot
 	nodePrev     []ledger.Snapshot
 
 	// Watchdog state (maintained by the Manager's watchdog goroutine).
@@ -315,15 +318,20 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	}
 }
 
-// onSample adapts a monitor sample into a Progress event and fans it out.
-// It runs on the monitor's sampler goroutine.
+// onSample adapts a monitor sample into a Progress event, fans it out and
+// records the sample. It runs on the monitor's sampler goroutine (or, for
+// the at-EOF sample, in Stop), while the monitor's tracker still holds the
+// sample's capture.
 func (s *Session) onSample(smp core.Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishLocked(s.progressLocked(smp, false))
+	smp.Estimates = slices.Clone(smp.Estimates)
+	s.samples = append(s.samples, smp)
 }
 
-// progressLocked shapes a monitor sample as a Progress event.
+// progressLocked shapes a monitor sample as a Progress event, taking the
+// node counters from the monitor's latest capture.
 func (s *Session) progressLocked(smp core.Sample, final bool) Progress {
 	p := Progress{
 		Calls: smp.Calls, LB: smp.LB, UB: smp.UB,
@@ -350,22 +358,28 @@ func (s *Session) progressLocked(smp core.Sample, final bool) Progress {
 		st := s.pool.Stats()
 		p.Pool = &st
 	}
-	if s.led != nil {
-		s.nodeScratch = s.led.SnapshotAll(s.nodeScratch[:0])
-		for i, snap := range s.nodeScratch {
-			if !final && i < len(s.nodePrev) && snap == s.nodePrev[i] {
+	if s.mon != nil {
+		tr := s.mon.Tracker()
+		all := final || s.nodePrev == nil
+		if s.nodePrev == nil {
+			s.nodePrev = make([]ledger.Snapshot, tr.Shape().Len())
+		}
+		for i := range s.nodePrev {
+			id := ledger.NodeID(i)
+			rt := tr.Runtime(id)
+			if !all && rt == s.nodePrev[i] {
 				continue // unchanged since the previous published event
 			}
+			s.nodePrev[i] = rt
 			p.Nodes = append(p.Nodes, NodeProgress{
 				ID:        int32(i),
-				Name:      s.shape.Node(ledger.NodeID(i)).Name,
-				Calls:     snap.Returned,
-				Delivered: snap.Delivered,
-				Rescans:   snap.Rescans,
-				Done:      snap.Done,
+				Name:      tr.Shape().Node(id).Name,
+				Calls:     rt.Returned,
+				Delivered: rt.Delivered,
+				Rescans:   rt.Rescans,
+				Done:      rt.Done,
 			})
 		}
-		s.nodePrev = append(s.nodePrev[:0], s.nodeScratch...)
 	}
 	return p
 }

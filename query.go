@@ -3,7 +3,6 @@ package sqlprogress
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sqlprogress/internal/compile"
@@ -265,39 +264,16 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	}
 	q.used = true
 
-	tracker := core.NewTracker(q.root)
+	m := core.NewMonitor(q.root, opts.Every, ests...)
+	tracker := m.Tracker()
 	shape := tracker.Shape()
-	every := opts.Every
-	if every <= 0 {
-		// Capture's clamps (LB >= 1, UB >= LB) only touch bounds below 200,
-		// where the period is 1 either way.
-		s := tracker.Capture()
-		every = s.UB / 200
-		if every < 1 || s.UB >= exec.Unbounded {
-			every = maxInt64(s.LB/200, 1)
-		}
-	}
-	q.ctx = exec.NewCtx()
 	start := time.Now()
-	// Under parallel (exchange-based) plans the hook fires concurrently from
-	// worker goroutines: the mutex serializes captures and callbacks, and
-	// instants already overtaken by a delivered update are skipped.
-	var mu sync.Mutex
-	var last int64
-	q.ctx.OnGetNext = func(calls int64) {
-		if calls%every != 0 {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if calls <= last {
-			return
-		}
-		last = calls
-		s := tracker.Capture()
-		lo, hi := s.Interval()
+	m.OnSample = func(s core.Sample) {
 		u := ProgressUpdate{
-			Lo: lo, Hi: hi, Calls: s.Curr,
+			Estimate:  s.Estimates[0],
+			Lo:        float64(s.Calls) / float64(s.UB),
+			Hi:        min(float64(s.Calls)/float64(s.LB), 1),
+			Calls:     s.Calls,
 			Estimates: make(map[EstimatorKind]float64, len(ests)),
 			Nodes:     make([]NodeCount, shape.Len()),
 			Elapsed:   time.Since(start),
@@ -306,7 +282,7 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 			st := q.db.pool.Stats()
 			u.Pool = &st
 		}
-		// Node counters come from the capture's own ledger read, the same
+		// Node counters come from the sample's own capture, the same
 		// instant the bounds and estimates describe.
 		for i := range u.Nodes {
 			id := ledger.NodeID(i)
@@ -320,18 +296,16 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 				Done:      rt.Done,
 			}
 		}
-		for i, e := range ests {
-			v := e.Estimate(s)
+		for i, v := range s.Estimates {
 			u.Estimates[kinds[i]] = v
-			if i == 0 {
-				u.Estimate = v
-			}
 		}
 		if u.Estimate > 0 {
 			u.ETA = time.Duration(float64(u.Elapsed) * (1 - u.Estimate) / u.Estimate)
 		}
 		cb(u)
 	}
+	q.ctx = exec.NewCtx()
+	q.ctx.OnGetNext = m.Hook()
 	// The OnGetNext hook forces the batch engine onto its exact path: the
 	// run is call-for-call identical to row-at-a-time execution, so sampling
 	// instants land at precisely the same Curr values.
@@ -356,10 +330,3 @@ func FormatRow(r schema.Row) string {
 
 // Value re-exports the engine's value type for callers inspecting rows.
 type Value = sqlval.Value
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
